@@ -103,12 +103,26 @@ pub fn reset() {
     metrics::reset();
 }
 
+/// Serializes the unit tests that flip the process-global switch or
+/// empty the global span collector and registry ([`set_enabled`],
+/// [`span::drain`], [`reset`], [`report::RunReport::capture`]); run
+/// concurrently, they take each other's records and switch each other
+/// off.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // The lock guards no data, so a test that failed while holding it
+    // leaves nothing to repair; the next test goes ahead.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn switch_round_trips() {
+        let _lock = test_lock();
         set_enabled(true);
         assert!(enabled());
         set_enabled(false);

@@ -224,6 +224,7 @@ mod tests {
 
     #[test]
     fn capture_bundles_spans_and_metrics() {
+        let _lock = crate::test_lock();
         crate::set_enabled(true);
         crate::span::drain();
         {
@@ -256,6 +257,7 @@ mod tests {
 
     #[test]
     fn histogram_export_is_sparse_and_finite() {
+        let _lock = crate::test_lock();
         crate::metrics::histogram("report/hist").record(1500);
         let report = RunReport::capture("hist");
         let doc = report.to_json();

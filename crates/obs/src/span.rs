@@ -256,6 +256,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _lock = crate::test_lock();
         crate::set_enabled(false);
         drain();
         let mut s = span("test/inert");
@@ -267,6 +268,7 @@ mod tests {
 
     #[test]
     fn nested_spans_rebuild_as_a_tree() {
+        let _lock = crate::test_lock();
         crate::set_enabled(true);
         drain();
         {
@@ -300,6 +302,7 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_become_separate_roots() {
+        let _lock = crate::test_lock();
         crate::set_enabled(true);
         drain();
         {

@@ -22,6 +22,7 @@ use crate::htlc::Htlc;
 use crate::network::{Pcn, RouteError};
 use crate::retry::RetryPolicy;
 use crate::workload::Tx;
+use lcg_graph::bfs::BfsTree;
 use lcg_graph::{EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -212,16 +213,6 @@ impl<'a> Simulation<'a> {
     }
 }
 
-/// Replays `txs` (in order) against `pcn`, sampling uniformly among
-/// shortest paths for each payment.
-#[deprecated(
-    since = "0.10.0",
-    note = "use lcg_sim::Simulation::new(pcn).workload(txs).seed(s).run() — see DESIGN.md"
-)]
-pub fn simulate<R: Rng + ?Sized>(pcn: &mut Pcn, txs: &[Tx], rng: &mut R) -> SimReport {
-    run_core(pcn, txs, rng, CompiledFaults::inert(), &RetryPolicy::none())
-}
-
 /// One payment in flight, pending a stuck-HTLC timeout.
 struct PendingHtlc {
     htlc: Htlc,
@@ -258,16 +249,29 @@ enum FailKind {
     Offline,
 }
 
-/// The engine proper; `Simulation::run` and the deprecated shim both land
-/// here, so the no-fault/no-retry configuration is one code path.
+/// The state one run threads through every payment.
+struct Engine<'a, R: ?Sized> {
+    pcn: &'a mut Pcn,
+    rng: &'a mut R,
+    faults: CompiledFaults,
+    retry: &'a RetryPolicy,
+    report: SimReport,
+    /// Stuck HTLCs awaiting their timeouts.
+    pending: Vec<PendingHtlc>,
+    /// BFS buffers reused by every routing call of the run.
+    tree: BfsTree,
+}
+
+/// The engine proper, behind `Simulation::run`. A run without faults or
+/// retries takes the same code path with an empty plan.
 pub(crate) fn run_core<R: Rng + ?Sized>(
     pcn: &mut Pcn,
     txs: &[Tx],
     rng: &mut R,
-    mut faults: CompiledFaults,
+    faults: CompiledFaults,
     retry: &RetryPolicy,
 ) -> SimReport {
-    let mut report = SimReport {
+    let report = SimReport {
         attempted: 0,
         succeeded: 0,
         failed_no_path: 0,
@@ -286,51 +290,33 @@ pub(crate) fn run_core<R: Rng + ?Sized>(
     sim_span.field_u64("transactions", txs.len() as u64);
     sim_span.field_bool("faults", faults.active);
     let observe = sim_span.is_recording();
-    let mut pending: Vec<PendingHtlc> = Vec::new();
+    let mut engine = Engine {
+        pcn,
+        rng,
+        faults,
+        retry,
+        report,
+        pending: Vec::new(),
+        tree: BfsTree::default(),
+    };
     let mut events: u64 = 0;
     for tx in txs {
         events += 1;
-        faults.fire_due_closures(pcn, tx.time, &mut report.faults);
-        drain_expired(
-            pcn,
-            &mut pending,
-            events,
-            false,
-            rng,
-            &mut faults,
-            retry,
-            &mut report,
-        );
-        report.attempted += 1;
+        engine
+            .faults
+            .fire_due_closures(engine.pcn, tx.time, &mut engine.report.faults);
+        engine.drain_expired(events, false);
+        engine.report.attempted += 1;
         if observe {
             lcg_obs::counter!("sim/payments/attempted").inc();
         }
-        attempt_payment(
-            pcn,
-            tx,
-            1,
-            false,
-            rng,
-            &mut faults,
-            retry,
-            events,
-            &mut pending,
-            &mut report,
-        );
+        engine.attempt_payment(tx, 1, false, events);
     }
     // End of stream: every still-pending HTLC reaches its deadline (and
     // takes any remaining retries), so all attempts resolve and the
     // outcome counters partition `attempted`.
-    drain_expired(
-        pcn,
-        &mut pending,
-        events,
-        true,
-        rng,
-        &mut faults,
-        retry,
-        &mut report,
-    );
+    engine.drain_expired(events, true);
+    let report = engine.report;
     if observe {
         lcg_obs::counter!("sim/payments/succeeded").add(report.succeeded);
         lcg_obs::counter!("sim/payments/failed_no_path").add(report.failed_no_path);
@@ -343,145 +329,213 @@ pub(crate) fn run_core<R: Rng + ?Sized>(
     report
 }
 
-/// Fails every pending HTLC whose deadline has passed (all of them on the
-/// `final_flush`) through `Htlc::fail`, then lets the payment spend its
-/// remaining retry budget.
-#[allow(clippy::too_many_arguments)]
-fn drain_expired<R: Rng + ?Sized>(
-    pcn: &mut Pcn,
-    pending: &mut Vec<PendingHtlc>,
-    now: u64,
-    final_flush: bool,
-    rng: &mut R,
-    faults: &mut CompiledFaults,
-    retry: &RetryPolicy,
-    report: &mut SimReport,
-) {
-    let mut i = 0;
-    while i < pending.len() {
-        if !final_flush && pending[i].deadline > now {
-            i += 1;
-            continue;
+impl<R: Rng + ?Sized> Engine<'_, R> {
+    /// Fails every pending HTLC whose deadline has passed (all of them on
+    /// the `final_flush`) through `Htlc::fail`, then lets the payment
+    /// spend its remaining retry budget.
+    fn drain_expired(&mut self, now: u64, final_flush: bool) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            if !final_flush && self.pending[i].deadline > now {
+                i += 1;
+                continue;
+            }
+            let PendingHtlc {
+                htlc,
+                tx,
+                deadline,
+                lock_event,
+                attempts,
+            } = self.pending.remove(i);
+            // On the final flush the stream ended before the deadline tick;
+            // the lock would have dwelled until exactly its deadline.
+            let resolve_at = if final_flush { deadline } else { now };
+            let dwell = resolve_at.saturating_sub(lock_event);
+            htlc.fail(self.pcn);
+            self.report.faults.injected_timeouts += 1;
+            self.report.faults.record_dwell(dwell);
+            if lcg_obs::enabled() {
+                lcg_obs::counter!("sim/faults/injected_timeouts").inc();
+                lcg_obs::histogram!("sim/faults/stuck_dwell_events").record(dwell);
+            }
+            self.attempt_payment(&tx, attempts + 1, true, resolve_at);
         }
-        let PendingHtlc {
-            htlc,
-            tx,
-            deadline,
-            lock_event,
-            attempts,
-        } = pending.remove(i);
-        // On the final flush the stream ended before the deadline tick;
-        // the lock would have dwelled until exactly its deadline.
-        let resolve_at = if final_flush { deadline } else { now };
-        let dwell = resolve_at.saturating_sub(lock_event);
-        htlc.fail(pcn);
-        report.faults.injected_timeouts += 1;
-        report.faults.record_dwell(dwell);
-        if lcg_obs::enabled() {
-            lcg_obs::counter!("sim/faults/injected_timeouts").inc();
-            lcg_obs::histogram!("sim/faults/stuck_dwell_events").record(dwell);
-        }
-        attempt_payment(
-            pcn,
-            &tx,
-            attempts + 1,
-            true,
-            rng,
-            faults,
-            retry,
-            resolve_at,
-            pending,
-            report,
-        );
     }
-}
 
-/// Runs a payment from its `first_attempt`-th try until it settles, gets
-/// stuck (deferred to `pending`), or exhausts its retry budget. Retries
-/// re-route while avoiding hops that already failed this payment.
-#[allow(clippy::too_many_arguments)]
-fn attempt_payment<R: Rng + ?Sized>(
-    pcn: &mut Pcn,
-    tx: &Tx,
-    first_attempt: u32,
-    mut faulted: bool,
-    rng: &mut R,
-    faults: &mut CompiledFaults,
-    retry: &RetryPolicy,
-    lock_event: u64,
-    pending: &mut Vec<PendingHtlc>,
-    report: &mut SimReport,
-) {
-    let mut avoid: Vec<EdgeId> = Vec::new();
-    let mut delay = 0.0;
-    let mut attempt = first_attempt;
-    loop {
-        if attempt > retry.max_attempts {
-            // Only reachable when a timeout resolved on the last allowed
-            // attempt: the budget is gone before this try could run.
-            report.failed_faulted += 1;
-            return;
-        }
-        if attempt > 1 {
-            report.faults.retry_attempts += 1;
-        }
-        if attempt > first_attempt {
-            delay += jittered_delay(retry, attempt - 1, faults);
-        }
-        let now = tx.time + delay;
-        match try_once(pcn, tx, now, &avoid, rng, faults, report) {
-            Attempt::Delivered { path, fees } => {
-                record_success(report, tx, &path, fees, pcn);
-                if faulted {
-                    report.faults.recovered_by_retry += 1;
-                }
+    /// Runs a payment from its `first_attempt`-th try until it settles,
+    /// gets stuck (deferred to `pending`), or exhausts its retry budget.
+    /// Retries re-route while avoiding hops that already failed this
+    /// payment.
+    fn attempt_payment(&mut self, tx: &Tx, first_attempt: u32, mut faulted: bool, lock_event: u64) {
+        let mut avoid: Vec<EdgeId> = Vec::new();
+        let mut delay = 0.0;
+        let mut attempt = first_attempt;
+        loop {
+            if attempt > self.retry.max_attempts {
+                // Only reachable when a timeout resolved on the last allowed
+                // attempt: the budget is gone before this try could run.
+                self.report.failed_faulted += 1;
                 return;
             }
-            Attempt::Stuck { htlc } => {
-                // Resumed as faulted after the timeout, so the tx counts
-                // as faulted from here on.
-                if !faulted {
-                    report.faults.txs_faulted += 1;
-                }
-                pending.push(PendingHtlc {
-                    htlc,
-                    tx: *tx,
-                    deadline: lock_event + faults.stuck_timeout,
-                    lock_event,
-                    attempts: attempt,
-                });
-                return; // outcome resolves at the deadline
+            if attempt > 1 {
+                self.report.faults.retry_attempts += 1;
             }
-            Attempt::Failed { kind, culprit } => {
-                let injected = matches!(kind, FailKind::Transient | FailKind::Offline);
-                if injected && !faulted {
-                    faulted = true;
-                    report.faults.txs_faulted += 1;
+            if attempt > first_attempt {
+                delay += jittered_delay(self.retry, attempt - 1, &mut self.faults);
+            }
+            let now = tx.time + delay;
+            match self.try_once(tx, now, &avoid) {
+                Attempt::Delivered { path, fees } => {
+                    record_success(&mut self.report, tx, &path, fees, self.pcn);
+                    if faulted {
+                        self.report.faults.recovered_by_retry += 1;
+                    }
+                    return;
                 }
-                // Only capacity failures ban the culprit hop: the edge
-                // deterministically cannot carry the amount, so retries
-                // must re-route around it. Transient failures are
-                // memoryless — the same route may work on the next try.
-                if kind == FailKind::Capacity {
-                    if let Some(e) = culprit {
-                        avoid.push(e);
+                Attempt::Stuck { htlc } => {
+                    // Resumed as faulted after the timeout, so the tx counts
+                    // as faulted from here on.
+                    if !faulted {
+                        self.report.faults.txs_faulted += 1;
+                    }
+                    self.pending.push(PendingHtlc {
+                        htlc,
+                        tx: *tx,
+                        deadline: lock_event + self.faults.stuck_timeout,
+                        lock_event,
+                        attempts: attempt,
+                    });
+                    return; // outcome resolves at the deadline
+                }
+                Attempt::Failed { kind, culprit } => {
+                    let injected = matches!(kind, FailKind::Transient | FailKind::Offline);
+                    if injected && !faulted {
+                        faulted = true;
+                        self.report.faults.txs_faulted += 1;
+                    }
+                    // Only capacity failures ban the culprit hop: the edge
+                    // deterministically cannot carry the amount, so retries
+                    // must re-route around it. Transient failures are
+                    // memoryless — the same route may work on the next try.
+                    if kind == FailKind::Capacity {
+                        if let Some(e) = culprit {
+                            avoid.push(e);
+                        }
+                    }
+                    if kind != FailKind::Invalid && attempt < self.retry.max_attempts {
+                        attempt += 1;
+                        continue;
+                    }
+                    // Terminal. A payment that was ever hit by a fault counts
+                    // against the plan; pure-organic failures keep the legacy
+                    // buckets (so an empty plan reproduces them exactly).
+                    let report = &mut self.report;
+                    match kind {
+                        FailKind::Invalid => report.failed_invalid += 1,
+                        _ if faulted => report.failed_faulted += 1,
+                        FailKind::NoPath => report.failed_no_path += 1,
+                        FailKind::Capacity => report.failed_capacity += 1,
+                        FailKind::Transient | FailKind::Offline => unreachable!("faulted set"),
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// One routing + HTLC attempt. Validation order matches the legacy
+    /// `Pcn::pay_with_rng` exactly (checks before any RNG draw), and the
+    /// success path is lock + settle — state-identical to the one-shot
+    /// `execute_on_path`. Route, lock and settle are timed into the
+    /// `sim/route`, `sim/htlc/lock` and `sim/htlc/settle` histograms while
+    /// recording is on.
+    fn try_once(&mut self, tx: &Tx, now: f64, avoid: &[EdgeId]) -> Attempt {
+        let amount = tx.size;
+        if amount <= 0.0 || amount.is_nan() || amount.is_infinite() {
+            return Attempt::Failed {
+                kind: FailKind::Invalid,
+                culprit: None,
+            };
+        }
+        for node in [tx.sender, tx.receiver] {
+            if !self.pcn.graph().contains_node(node) {
+                return Attempt::Failed {
+                    kind: FailKind::Invalid,
+                    culprit: None,
+                };
+            }
+        }
+        if tx.sender == tx.receiver {
+            return Attempt::Failed {
+                kind: FailKind::Invalid,
+                culprit: None,
+            };
+        }
+        let faults = &mut self.faults;
+        if faults.offline_at(tx.sender, now) || faults.offline_at(tx.receiver, now) {
+            self.report.faults.offline_rejections += 1;
+            if lcg_obs::enabled() {
+                lcg_obs::counter!("sim/faults/offline_rejections").inc();
+            }
+            return Attempt::Failed {
+                kind: FailKind::Offline,
+                culprit: None,
+            };
+        }
+        let path = {
+            let _timer = lcg_obs::timer!("sim/route");
+            self.pcn.sample_shortest_path_filtered(
+                tx.sender,
+                tx.receiver,
+                amount,
+                |e| !avoid.contains(&e),
+                |v| !faults.offline_at(v, now),
+                &mut self.tree,
+                self.rng,
+            )
+        };
+        let Some(path) = path else {
+            return Attempt::Failed {
+                kind: FailKind::NoPath,
+                culprit: None,
+            };
+        };
+        let locked = {
+            let _timer = lcg_obs::timer!("sim/htlc/lock");
+            Htlc::lock(self.pcn, &path, amount)
+        };
+        match locked {
+            Err(RouteError::InsufficientCapacity { edge, .. }) => Attempt::Failed {
+                kind: FailKind::Capacity,
+                culprit: Some(edge),
+            },
+            Err(_) => Attempt::Failed {
+                kind: FailKind::Invalid,
+                culprit: None,
+            },
+            Ok(htlc) => {
+                if faults.transient_p > 0.0 {
+                    for e in &path {
+                        if faults.rng.gen_bool(faults.transient_p) {
+                            htlc.fail(self.pcn);
+                            self.report.faults.injected_transient += 1;
+                            if lcg_obs::enabled() {
+                                lcg_obs::counter!("sim/faults/injected_transient").inc();
+                            }
+                            return Attempt::Failed {
+                                kind: FailKind::Transient,
+                                culprit: Some(*e),
+                            };
+                        }
                     }
                 }
-                if kind != FailKind::Invalid && attempt < retry.max_attempts {
-                    attempt += 1;
-                    continue;
+                if faults.stuck_p > 0.0 && faults.rng.gen_bool(faults.stuck_p) {
+                    return Attempt::Stuck { htlc };
                 }
-                // Terminal. A payment that was ever hit by a fault counts
-                // against the plan; pure-organic failures keep the legacy
-                // buckets (so an empty plan reproduces them exactly).
-                match kind {
-                    FailKind::Invalid => report.failed_invalid += 1,
-                    _ if faulted => report.failed_faulted += 1,
-                    FailKind::NoPath => report.failed_no_path += 1,
-                    FailKind::Capacity => report.failed_capacity += 1,
-                    FailKind::Transient | FailKind::Offline => unreachable!("faulted set"),
-                }
-                return;
+                let fees = htlc.total_fees();
+                let _timer = lcg_obs::timer!("sim/htlc/settle");
+                htlc.settle(self.pcn);
+                Attempt::Delivered { path, fees }
             }
         }
     }
@@ -496,98 +550,6 @@ fn jittered_delay(retry: &RetryPolicy, k: u32, faults: &mut CompiledFaults) -> f
             .gen_range((1.0 - retry.jitter)..(1.0 + retry.jitter))
     } else {
         base
-    }
-}
-
-/// One routing + HTLC attempt. Validation order matches the legacy
-/// `Pcn::pay_with_rng` exactly (checks before any RNG draw), and the
-/// success path is lock + settle — state-identical to the one-shot
-/// `execute_on_path`.
-fn try_once<R: Rng + ?Sized>(
-    pcn: &mut Pcn,
-    tx: &Tx,
-    now: f64,
-    avoid: &[EdgeId],
-    rng: &mut R,
-    faults: &mut CompiledFaults,
-    report: &mut SimReport,
-) -> Attempt {
-    let amount = tx.size;
-    if amount <= 0.0 || amount.is_nan() || amount.is_infinite() {
-        return Attempt::Failed {
-            kind: FailKind::Invalid,
-            culprit: None,
-        };
-    }
-    for node in [tx.sender, tx.receiver] {
-        if !pcn.graph().contains_node(node) {
-            return Attempt::Failed {
-                kind: FailKind::Invalid,
-                culprit: None,
-            };
-        }
-    }
-    if tx.sender == tx.receiver {
-        return Attempt::Failed {
-            kind: FailKind::Invalid,
-            culprit: None,
-        };
-    }
-    if faults.offline_at(tx.sender, now) || faults.offline_at(tx.receiver, now) {
-        report.faults.offline_rejections += 1;
-        if lcg_obs::enabled() {
-            lcg_obs::counter!("sim/faults/offline_rejections").inc();
-        }
-        return Attempt::Failed {
-            kind: FailKind::Offline,
-            culprit: None,
-        };
-    }
-    let Some(path) = pcn.sample_shortest_path_filtered(
-        tx.sender,
-        tx.receiver,
-        amount,
-        |e| !avoid.contains(&e),
-        |v| !faults.offline_at(v, now),
-        rng,
-    ) else {
-        return Attempt::Failed {
-            kind: FailKind::NoPath,
-            culprit: None,
-        };
-    };
-    match Htlc::lock(pcn, &path, amount) {
-        Err(RouteError::InsufficientCapacity { edge, .. }) => Attempt::Failed {
-            kind: FailKind::Capacity,
-            culprit: Some(edge),
-        },
-        Err(_) => Attempt::Failed {
-            kind: FailKind::Invalid,
-            culprit: None,
-        },
-        Ok(htlc) => {
-            if faults.transient_p > 0.0 {
-                for e in &path {
-                    if faults.rng.gen_bool(faults.transient_p) {
-                        htlc.fail(pcn);
-                        report.faults.injected_transient += 1;
-                        if lcg_obs::enabled() {
-                            lcg_obs::counter!("sim/faults/injected_transient").inc();
-                        }
-                        return Attempt::Failed {
-                            kind: FailKind::Transient,
-                            culprit: Some(*e),
-                        };
-                    }
-                }
-            }
-            if faults.stuck_p > 0.0 && faults.rng.gen_bool(faults.stuck_p) {
-                return Attempt::Stuck { htlc };
-            }
-            let fees = htlc.total_fees();
-            htlc.settle(pcn);
-            Attempt::Delivered { path, fees }
-        }
     }
 }
 
@@ -744,9 +706,8 @@ mod tests {
 
     #[test]
     fn builder_matches_legacy_engine_bit_for_bit() {
-        // The deprecated `simulate` shim forwards to exactly this
-        // inert-faults configuration of `run_core`; the builder must stay
-        // a faithful alias of it.
+        // The fault-free engine is exactly this inert-faults configuration
+        // of `run_core`; the builder must stay a faithful alias of it.
         let txs = star_txs(9, 500, None);
         let mut a = star_pcn(20.0, 0.1);
         let report_a = Simulation::new(&mut a).workload(&txs).seed(9).run();

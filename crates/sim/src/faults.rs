@@ -346,8 +346,10 @@ impl CompiledFaults {
         }
     }
 
-    /// The no-fault compilation used by the deprecated `simulate` shim:
-    /// injects nothing and never touches its RNG.
+    /// A hand-built no-fault compilation: injects nothing and never
+    /// touches its RNG. Tests check an empty plan's compilation against
+    /// it.
+    #[cfg(test)]
     pub(crate) fn inert() -> CompiledFaults {
         CompiledFaults {
             transient_p: 0.0,

@@ -10,7 +10,7 @@
 use crate::channel::Channel;
 use crate::fees::FeeFunction;
 use crate::onchain::{CloseMode, CostModel};
-use lcg_graph::bfs::{self, BfsTree};
+use lcg_graph::bfs::BfsTree;
 use lcg_graph::{DiGraph, EdgeId, NodeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -278,8 +278,7 @@ impl Pcn {
     /// balance can forward a payment of size `x` survive. Node and edge ids
     /// are preserved.
     pub fn reduced_graph(&self, x: f64) -> DiGraph<(), EdgeBalance> {
-        self.graph
-            .filter_edges(|_, _, _, eb| eb.balance + 1e-9 >= x)
+        self.graph.filter_edges(|_, _, _, eb| can_forward(eb, x))
     }
 
     /// Computes the per-edge amounts for routing `amount` along `path`
@@ -308,7 +307,8 @@ impl Pcn {
         amount: f64,
         rng: &mut R,
     ) -> Option<Vec<EdgeId>> {
-        self.sample_shortest_path_filtered(s, r, amount, |_| true, |_| true, rng)
+        let mut tree = BfsTree::default();
+        self.sample_shortest_path_filtered(s, r, amount, |_| true, |_| true, &mut tree, rng)
     }
 
     /// [`Pcn::sample_shortest_path`] restricted to edges accepted by
@@ -318,7 +318,16 @@ impl Pcn {
     /// all-pass filters reproduce the unfiltered sampler exactly
     /// (including its RNG draw sequence).
     ///
+    /// `G'(x)` is never built: one [`BfsTree::rerun`] into the caller's
+    /// `tree` applies the balance test and both filters to each edge as
+    /// it reaches it, and stops at `r`'s layer. It returns the same path
+    /// and makes the same RNG draws as [`lcg_graph::bfs::bfs`] on
+    /// [`Pcn::reduced_graph`] (filtered alike) followed by
+    /// [`sample_path_from_tree`]. Keeping one tree across payments makes
+    /// the returned path the only allocation.
+    ///
     /// Returns `None` if `r` is unreachable in the filtered subgraph.
+    #[allow(clippy::too_many_arguments)]
     pub fn sample_shortest_path_filtered<R: Rng + ?Sized>(
         &self,
         s: NodeId,
@@ -326,13 +335,16 @@ impl Pcn {
         amount: f64,
         edge_ok: impl Fn(EdgeId) -> bool,
         node_ok: impl Fn(NodeId) -> bool,
+        tree: &mut BfsTree,
         rng: &mut R,
     ) -> Option<Vec<EdgeId>> {
-        let reduced = self.graph.filter_edges(|e, u, v, eb| {
-            eb.balance + 1e-9 >= amount && edge_ok(e) && node_ok(u) && node_ok(v)
+        tree.rerun(&self.graph, s, Some(r), |e, u, v| {
+            self.graph.edge(e).is_some_and(|eb| can_forward(eb, amount))
+                && edge_ok(e)
+                && node_ok(u)
+                && node_ok(v)
         });
-        let tree = bfs::bfs(&reduced, s);
-        sample_path_from_tree(&reduced, &tree, r, rng)
+        sample_path_from_tree(&self.graph, tree, r, rng)
     }
 
     /// Live channels as `(forward, backward)` edge pairs, in ascending
@@ -496,6 +508,12 @@ impl Pcn {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         self.pay_with_rng(s, r, amount, &mut rng)
     }
+}
+
+/// The capacity test behind `G'(x)` (§II-B): an edge survives when its
+/// balance can forward `x`.
+fn can_forward(eb: &EdgeBalance, x: f64) -> bool {
+    eb.balance + 1e-9 >= x
 }
 
 /// Samples a shortest path `tree.source → r` uniformly among all shortest
