@@ -235,10 +235,7 @@ pub fn exhaustive_search(oracle: &UtilityOracle, config: ExhaustiveConfig) -> Ex
             break;
         }
         explored += batch.len() as u64;
-        #[cfg(feature = "parallel")]
         let results = lcg_parallel::par_map(&batch, run_division);
-        #[cfg(not(feature = "parallel"))]
-        let results: Vec<Option<(Strategy, f64)>> = batch.iter().map(run_division).collect();
         for (division, result) in batch.iter().zip(results) {
             if let Some((strategy, simplified_utility)) = result {
                 if best

@@ -83,10 +83,10 @@ pub fn greedy_with_locks(oracle: &UtilityOracle, locks: &[f64]) -> GreedyResult 
     let mut prefix_strategies = vec![current.clone()];
 
     for &lock in locks {
-        // Score every candidate through the oracle — in parallel when the
-        // `parallel` feature is on. The argmax below runs sequentially over
-        // the in-order score vector with a first-strict-max tie-break, so
-        // the selected candidate is identical at any thread count.
+        // Score every candidate through the oracle in parallel. The argmax
+        // below runs sequentially over the in-order score vector with a
+        // first-strict-max tie-break, so the selected candidate is
+        // identical at any thread count.
         // `available` stays sorted by node index (see `remove` below), so
         // ties resolve to the lowest-index candidate — the same canonical
         // choice the lazy-greedy heap makes.
@@ -98,10 +98,7 @@ pub fn greedy_with_locks(oracle: &UtilityOracle, locks: &[f64]) -> GreedyResult 
             let trial = current.with(Action::new(*candidate, lock));
             oracle.simplified_utility(&trial)
         };
-        #[cfg(feature = "parallel")]
         let values = lcg_parallel::par_map(&available, score);
-        #[cfg(not(feature = "parallel"))]
-        let values: Vec<f64> = available.iter().map(score).collect();
 
         let mut best: Option<(usize, f64)> = None;
         for (idx, &value) in values.iter().enumerate() {
@@ -119,10 +116,14 @@ pub fn greedy_with_locks(oracle: &UtilityOracle, locks: &[f64]) -> GreedyResult 
         prefix_strategies.push(current.clone());
     }
 
-    // argmax over prefixes (the paper's final comparison over PU).
+    // argmax over prefixes (the paper's final comparison over PU). `max_by`
+    // keeps the last of equal maxima, so scanning in reverse returns the
+    // shortest tied prefix: on a `U'` plateau every extra channel would
+    // only add its cost `C + l`.
     let (best_k, &best_value) = prefix_utilities
         .iter()
         .enumerate()
+        .rev()
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN utilities"))
         .expect("at least the empty prefix exists");
     GreedyResult {
@@ -144,6 +145,30 @@ mod tests {
     fn oracle_for(host: lcg_graph::generators::Topology) -> UtilityOracle {
         let n = host.node_bound();
         UtilityOracle::new(host, vec![1.0; n], UtilityParams::default())
+    }
+
+    #[test]
+    fn utility_plateau_returns_the_shortest_best_prefix() {
+        // No host pair transacts and the user only pays node 0, so one
+        // channel to node 0 reaches every prefix's best `U' = 0`; each
+        // further channel leaves `U'` at 0 and only adds its cost.
+        let host = generators::path(3);
+        let model = crate::rates::TransactionModel::new(vec![vec![0.0; 3]; 3], vec![1.0; 3]);
+        let oracle =
+            UtilityOracle::with_model(host, model, vec![1.0, 0.0, 0.0], UtilityParams::default());
+        let eager = greedy_fixed_lock(&oracle, 10.0, 1.0);
+        let lazy = crate::lazy::lazy_greedy_fixed_lock(&oracle, 10.0, 1.0);
+        for result in [eager, lazy] {
+            assert_eq!(
+                result.prefix_utilities,
+                vec![f64::NEG_INFINITY, 0.0, 0.0, 0.0]
+            );
+            assert_eq!(result.strategy.len(), 1, "picked {}", result.strategy);
+            assert_eq!(result.simplified_utility, 0.0);
+            let longest =
+                Strategy::from_pairs(&[(NodeId(0), 1.0), (NodeId(1), 1.0), (NodeId(2), 1.0)]);
+            assert!(oracle.utility(&result.strategy) > oracle.utility(&longest));
+        }
     }
 
     #[test]

@@ -133,9 +133,11 @@ pub fn lazy_greedy_fixed_lock(oracle: &UtilityOracle, budget: f64, lock: f64) ->
         prefix_strategies.push(current.clone());
     }
 
+    // Reverse scan: the first of equal maxima, as in the eager greedy.
     let (best_k, &best_value) = prefix_utilities
         .iter()
         .enumerate()
+        .rev()
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN utilities"))
         .expect("at least the empty prefix");
     GreedyResult {

@@ -13,9 +13,20 @@ use lcg_graph::generators::{self, Topology};
 use lcg_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard};
 
 const EPS: f64 = 1e-9;
 const ONE_MINUS_1_OVER_E: f64 = 1.0 - std::f64::consts::E.recip();
+
+/// Serializes the tests that set the process-global worker count, so one
+/// cannot change it under another: without it, a test's 1-worker leg can
+/// run at the other test's 8 workers.
+fn threads_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // The lock guards no data, so a test that failed while holding it
+    // leaves nothing to repair; the next test goes ahead.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn fixed_rate_oracle(host: Topology) -> UtilityOracle {
     let n = host.node_bound();
@@ -127,6 +138,7 @@ fn lazy_greedy_selects_exactly_the_plain_greedy_strategy() {
 
 #[test]
 fn greedy_is_identical_at_one_and_eight_workers() {
+    let _lock = threads_lock();
     for (i, host) in small_hosts(12).into_iter().enumerate() {
         let oracle = fixed_rate_oracle(host);
         lcg_parallel::set_max_threads(1);
@@ -156,6 +168,7 @@ fn greedy_is_identical_at_one_and_eight_workers() {
 
 #[test]
 fn exhaustive_search_is_identical_at_one_and_eight_workers() {
+    let _lock = threads_lock();
     for (i, host) in small_hosts(8).into_iter().enumerate() {
         let oracle = fixed_rate_oracle(host);
         let config = ExhaustiveConfig {

@@ -687,9 +687,9 @@ pub(crate) fn search_player(
 ///
 /// One [`EvalContext`] snapshot of the current state is shared across all
 /// players. Players deviate independently, so each player's enumeration
-/// fans out to its own core when the `parallel` feature is on; results
-/// come back in player order and are folded sequentially, so the report —
-/// counters included — is identical at any thread count.
+/// fans out to its own core; results come back in player order and are
+/// folded sequentially, so the report — counters included — is identical
+/// at any thread count.
 pub(crate) fn check_impl(
     game: &Game,
     cache: &DeviationCache,
@@ -701,11 +701,7 @@ pub(crate) fn check_impl(
     let ctx = search.incremental.then(|| EvalContext::new(game, &search));
     let players: Vec<NodeId> = game.graph().node_ids().collect();
     let check_player = |&player: &NodeId| search_player(game, player, cache, search, ctx.as_ref());
-    #[cfg(feature = "parallel")]
     let per_player = lcg_parallel::par_map(&players, check_player);
-    #[cfg(not(feature = "parallel"))]
-    let per_player: Vec<(Option<Deviation>, SearchStats)> =
-        players.iter().map(check_player).collect();
 
     let mut deviations = Vec::new();
     let mut stats = SearchStats::default();

@@ -32,18 +32,16 @@ pub type NodeScores = Vec<f64>;
 /// own partial score vector and the chunks are summed **in chunk order**.
 /// The chunking is independent of the thread count, so the floating-point
 /// accumulation order — and therefore every output bit — is identical
-/// whether the chunks run on one thread (`LCG_THREADS=1`, the
-/// `force-sequential` feature of `lcg-parallel`, or the `parallel`
-/// feature of this crate disabled) or on all cores.
+/// whether the chunks run on one thread (`LCG_THREADS=1`, or nested inside
+/// another parallel call) or on all cores.
 ///
 /// Public because [`crate::incremental`] must replicate the exact same
 /// chunk boundaries to keep its cached-plus-recomputed reduction
 /// bit-identical to the from-scratch path.
 pub const SOURCE_CHUNK: usize = 8;
 
-/// Runs `kernel` over every chunk of `sources` — in parallel when the
-/// `parallel` feature is enabled — and sums the partial vectors in
-/// deterministic chunk order.
+/// Runs `kernel` over every chunk of `sources` in parallel and sums the
+/// partial vectors in deterministic chunk order.
 fn accumulate_over_source_chunks<K>(sources: &[NodeId], out_len: usize, kernel: K) -> Vec<f64>
 where
     K: Fn(&[NodeId], &mut Vec<f64>) + Sync,
@@ -66,10 +64,7 @@ where
         kernel(chunk, &mut partial);
         partial
     };
-    #[cfg(feature = "parallel")]
     let partials = lcg_parallel::par_map(&chunks, run_chunk);
-    #[cfg(not(feature = "parallel"))]
-    let partials: Vec<Vec<f64>> = chunks.iter().map(run_chunk).collect();
     let total = lcg_parallel::sum_vecs(vec![0.0; out_len], partials);
     drop(outer_span);
     total
@@ -106,8 +101,9 @@ where
     let sources: Vec<NodeId> = g.node_ids().collect();
     accumulate_over_source_chunks(&sources, g.edge_bound(), |chunk, scores| {
         let mut delta = vec![0.0; g.node_bound()];
+        let mut tree = BfsTree::default();
         for &s in chunk {
-            let tree = bfs(g, s);
+            tree.rerun(g, s, None, |_, _, _| true);
             for d in delta.iter_mut() {
                 *d = 0.0;
             }
@@ -151,8 +147,9 @@ where
     let sources: Vec<NodeId> = g.node_ids().collect();
     accumulate_over_source_chunks(&sources, g.node_bound(), |chunk, scores| {
         let mut delta = vec![0.0; g.node_bound()];
+        let mut tree = BfsTree::default();
         for &s in chunk {
-            let tree = bfs(g, s);
+            tree.rerun(g, s, None, |_, _, _| true);
             node_dependencies(g, &tree, &weight, &mut delta);
             for v in g.node_ids() {
                 if v != s {

@@ -233,11 +233,7 @@ where
     {
         let weight_matrix = materialize_weight(base, &weight);
         let sources: Vec<NodeId> = base.node_ids().collect();
-        let run_source = |&s: &NodeId| bfs(base, s);
-        #[cfg(feature = "parallel")]
-        let trees_in_order = lcg_parallel::par_map(&sources, run_source);
-        #[cfg(not(feature = "parallel"))]
-        let trees_in_order: Vec<BfsTree> = sources.iter().map(run_source).collect();
+        let trees_in_order = lcg_parallel::par_map(&sources, |&s| bfs(base, s));
         let mut trees: Vec<Option<BfsTree>> = (0..base.node_bound()).map(|_| None).collect();
         for (s, tree) in sources.iter().zip(trees_in_order) {
             trees[s.index()] = Some(tree);
@@ -407,10 +403,7 @@ where
                 delta[s.index()] = 0.0;
                 delta
             };
-            #[cfg(feature = "parallel")]
             let vectors = lcg_parallel::par_map(&self.sources, run_source);
-            #[cfg(not(feature = "parallel"))]
-            let vectors: Vec<Vec<f64>> = self.sources.iter().map(run_source).collect();
             let mut out: Vec<Vec<f64>> = (0..self.base.node_bound()).map(|_| Vec::new()).collect();
             for (s, v) in self.sources.iter().zip(vectors) {
                 out[s.index()] = v;
@@ -598,6 +591,7 @@ where
         let run_chunk = |chunk: &&[NodeId]| {
             let mut partial = vec![0.0; out_len];
             let mut delta_buf = vec![0.0; out_len];
+            let mut recompute_tree = BfsTree::default();
             for &s in *chunk {
                 match tiers[s.index()] {
                     Tier::Replay => {
@@ -622,10 +616,10 @@ where
                         }
                     }
                     Tier::Recompute => {
-                        let tree = bfs(updated, s);
+                        recompute_tree.rerun(updated, s, None, |_, _, _| true);
                         node_dependencies(
                             updated,
-                            &tree,
+                            &recompute_tree,
                             &|a, b| self.effective_weight(override_rows, a, b),
                             &mut delta_buf,
                         );
@@ -639,10 +633,7 @@ where
             }
             partial
         };
-        #[cfg(feature = "parallel")]
         let partials = lcg_parallel::par_map(&chunks, run_chunk);
-        #[cfg(not(feature = "parallel"))]
-        let partials: Vec<Vec<f64>> = chunks.iter().map(run_chunk).collect();
         let scores = lcg_parallel::sum_vecs(vec![0.0; out_len], partials);
         let stats = self.query_stats(&tiers);
         self.record(stats);
@@ -680,6 +671,7 @@ where
         let run_chunk = |chunk: &&[NodeId]| -> f64 {
             let mut partial = 0.0;
             let mut delta_buf = Vec::new();
+            let mut recompute_tree = BfsTree::default();
             for &s in *chunk {
                 if s == v {
                     // The from-scratch reduction never adds a source's own
@@ -708,10 +700,10 @@ where
                         if delta_buf.is_empty() {
                             delta_buf = vec![0.0; out_len];
                         }
-                        let tree = bfs(updated, s);
+                        recompute_tree.rerun(updated, s, None, |_, _, _| true);
                         node_dependencies(
                             updated,
-                            &tree,
+                            &recompute_tree,
                             &|a, b| self.effective_weight(override_rows, a, b),
                             &mut delta_buf,
                         );
@@ -721,10 +713,7 @@ where
             }
             partial
         };
-        #[cfg(feature = "parallel")]
         let partials = lcg_parallel::par_map(&chunks, run_chunk);
-        #[cfg(not(feature = "parallel"))]
-        let partials: Vec<f64> = chunks.iter().map(run_chunk).collect();
         let mut score = 0.0;
         for p in partials {
             score += p;

@@ -180,11 +180,7 @@ where
             })
             .collect();
         let sources: Vec<NodeId> = host.node_ids().collect();
-        let run_source = |&s: &NodeId| bfs(host, s);
-        #[cfg(feature = "parallel")]
-        let trees_in_order = lcg_parallel::par_map(&sources, run_source);
-        #[cfg(not(feature = "parallel"))]
-        let trees_in_order: Vec<BfsTree> = sources.iter().map(run_source).collect();
+        let trees_in_order = lcg_parallel::par_map(&sources, |&s| bfs(host, s));
         let mut trees: Vec<Option<BfsTree>> = (0..n).map(|_| None).collect();
         for (s, tree) in sources.iter().zip(trees_in_order) {
             trees[s.index()] = Some(tree);
@@ -337,10 +333,7 @@ where
                 delta[s.index()] = 0.0;
                 delta
             };
-            #[cfg(feature = "parallel")]
             let vectors = lcg_parallel::par_map(&self.sources, run_source);
-            #[cfg(not(feature = "parallel"))]
-            let vectors: Vec<Vec<f64>> = self.sources.iter().map(run_source).collect();
             let mut out: Vec<Vec<f64>> = (0..self.host.node_bound()).map(|_| Vec::new()).collect();
             for (s, v) in self.sources.iter().zip(vectors) {
                 out[s.index()] = v;
@@ -408,6 +401,7 @@ where
         let run_chunk = |chunk: &&[NodeId]| {
             let mut partial = vec![0.0; out_len];
             let mut delta = vec![0.0; out_len];
+            let mut tree = BfsTree::default();
             for &s in *chunk {
                 if s != u && !affected[s.index()] {
                     // Replay the snapshot: bit-equal to what the kernel
@@ -417,7 +411,7 @@ where
                         *p += *c;
                     }
                 } else {
-                    let tree = bfs(&aug, s);
+                    tree.rerun(&aug, s, None, |_, _, _| true);
                     node_dependencies(&aug, &tree, &|a, b| self.weight(a, b), &mut delta);
                     for v in aug.node_ids() {
                         if v != s {
@@ -428,10 +422,7 @@ where
             }
             partial
         };
-        #[cfg(feature = "parallel")]
         let partials = lcg_parallel::par_map(&chunks, run_chunk);
-        #[cfg(not(feature = "parallel"))]
-        let partials: Vec<Vec<f64>> = chunks.iter().map(run_chunk).collect();
         let scores = lcg_parallel::sum_vecs(vec![0.0; out_len], partials);
         let stats = QueryStats {
             recomputed_sources: affected_count + 1,
@@ -481,6 +472,7 @@ where
         let run_chunk = |chunk: &&[NodeId]| -> f64 {
             let mut partial = 0.0;
             let mut delta = Vec::new();
+            let mut tree = BfsTree::default();
             for &s in *chunk {
                 if s == u || !affected[s.index()] {
                     continue;
@@ -488,16 +480,13 @@ where
                 if delta.is_empty() {
                     delta = vec![0.0; aug.node_bound()];
                 }
-                let tree = bfs(aug, s);
+                tree.rerun(aug, s, None, |_, _, _| true);
                 node_dependencies(aug, &tree, &|a, b| self.weight(a, b), &mut delta);
                 partial += delta[u.index()];
             }
             partial
         };
-        #[cfg(feature = "parallel")]
         let partials = lcg_parallel::par_map(&chunks, run_chunk);
-        #[cfg(not(feature = "parallel"))]
-        let partials: Vec<f64> = chunks.iter().map(run_chunk).collect();
         let mut score = 0.0;
         for p in partials {
             score += p;

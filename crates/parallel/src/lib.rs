@@ -12,11 +12,17 @@
 //! [`par_map`]/[`par_map_range`] always return results **in input
 //! order**, and callers reduce those vectors sequentially. Floating-point
 //! accumulation order is therefore independent of the thread count:
-//! running with `LCG_THREADS=1` (or [`set_max_threads`]`(1)`, or the
-//! `force-sequential` cargo feature) produces **bit-identical** numbers
-//! to the fully parallel run. Tests rely on this.
+//! running with `LCG_THREADS=1` (or [`set_max_threads`]`(1)`) produces
+//! **bit-identical** numbers to the fully parallel run. Tests rely on this.
 //!
 //! ## Scheduling
+//!
+//! Parallelism has one level. The outermost call fans out; a call made
+//! from inside one of its workers — e.g. the Brandes chunks of an oracle
+//! evaluation scored by a greedy worker — runs inline on that worker,
+//! with the same items in the same order, so it spawns nothing and its
+//! results are unchanged. The known cost: an outer call with fewer items
+//! than workers leaves the spare cores idle.
 //!
 //! Work items are handed out through a shared atomic cursor (dynamic
 //! scheduling), so unbalanced items — e.g. deviation sets of different
@@ -25,6 +31,7 @@
 //! splices them back into order. Spawning is skipped entirely when the
 //! effective thread count is 1 or the input is tiny.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -34,15 +41,17 @@ static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// Below this many items, spawning threads costs more than it saves.
 const PAR_THRESHOLD: usize = 4;
 
+thread_local! {
+    /// Set on the threads [`par_map_range`] spawns. They exit with their
+    /// scope, so the flag never outlives the call that set it.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Effective worker count for the next parallel call.
 ///
-/// Resolution order: the `force-sequential` cargo feature (always 1),
-/// then [`set_max_threads`], then the `LCG_THREADS` environment
-/// variable, then [`std::thread::available_parallelism`].
+/// Resolution order: [`set_max_threads`], then the `LCG_THREADS`
+/// environment variable, then [`std::thread::available_parallelism`].
 pub fn max_threads() -> usize {
-    if cfg!(feature = "force-sequential") {
-        return 1;
-    }
     let set = MAX_THREADS.load(Ordering::Relaxed);
     if set > 0 {
         return set;
@@ -81,8 +90,13 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = max_threads().min(n);
-    if threads <= 1 || n < PAR_THRESHOLD {
+    // The flag is tested first, so a nested call never reads the environment.
+    let threads = if n < PAR_THRESHOLD || IN_WORKER.get() {
+        1
+    } else {
+        max_threads().min(n)
+    };
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
 
@@ -101,6 +115,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
+                IN_WORKER.set(true);
                 let mut worker_span = if observe {
                     Some(lcg_obs::span::span("parallel/worker"))
                 } else {
@@ -157,6 +172,15 @@ pub fn sum_vecs(mut acc: Vec<f64>, parts: Vec<Vec<f64>>) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that set the process-global worker count, so
+    /// one cannot change it under another.
+    fn threads_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // The lock guards no data, so a test that failed while holding it
+        // leaves nothing to repair; the next test goes ahead.
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..1000).collect();
@@ -175,6 +199,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_f64_sums() {
+        let _lock = threads_lock();
         let items: Vec<f64> = (0..257).map(|i| 0.1 * i as f64).collect();
         set_max_threads(1);
         let seq = par_map_reduce(&items, 0.0f64, |&x| x.sin(), |a, r| a + r);
@@ -182,6 +207,28 @@ mod tests {
         let par = par_map_reduce(&items, 0.0f64, |&x| x.sin(), |a, r| a + r);
         set_max_threads(0);
         assert_eq!(seq.to_bits(), par.to_bits());
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_their_worker() {
+        let _lock = threads_lock();
+        set_max_threads(2);
+        let caller = std::thread::current().id();
+        let outer = par_map_range(6, |i| {
+            let worker = std::thread::current().id();
+            let inner = par_map_range(40, |j| (std::thread::current().id(), 100 * i + j));
+            (worker, inner)
+        });
+        set_max_threads(0);
+        for (i, (worker, inner)) in outer.iter().enumerate() {
+            assert_ne!(*worker, caller, "outer item {i} ran on the caller");
+            assert!(
+                inner.iter().all(|(thread, _)| thread == worker),
+                "outer item {i}: a nested item left its worker's thread"
+            );
+            let values: Vec<usize> = inner.iter().map(|&(_, v)| v).collect();
+            assert_eq!(values, (0..40).map(|j| 100 * i + j).collect::<Vec<_>>());
+        }
     }
 
     #[test]
