@@ -17,7 +17,7 @@
 //! The tests do full loop closure: generate a workload at a known `s`
 //! with `lcg-sim`, estimate, and recover the truth.
 
-use crate::zipf::{rank_factors, ZipfVariant};
+use crate::zipf::{transaction_probabilities, ZipfVariant};
 use lcg_graph::DiGraph;
 use lcg_sim::workload::Tx;
 use serde::{Deserialize, Serialize};
@@ -67,16 +67,21 @@ pub fn estimate_volumes(txs: &[Tx], node_bound: usize) -> VolumeEstimate {
 /// with parameter `s` on `host`.
 ///
 /// Each observation contributes `log p_trans(sender, receiver)`; the
-/// per-sender normalizers and rank factors are recomputed per sender
-/// (cached across transactions from the same sender).
+/// per-sender distributions are computed once per sender and cached
+/// across transactions from the same sender.
+///
+/// Returns `-∞` if the model cannot generate the stream: some transaction
+/// has probability zero, or its sender or receiver is not a live node of
+/// `host`.
 pub fn zipf_log_likelihood<N: Clone, E: Clone>(host: &DiGraph<N, E>, txs: &[Tx], s: f64) -> f64 {
     let mut cache: Vec<Option<Vec<f64>>> = vec![None; host.node_bound()];
     let mut ll = 0.0;
     for tx in txs {
+        if !host.contains_node(tx.sender) {
+            return f64::NEG_INFINITY;
+        }
         let probs = cache[tx.sender.index()].get_or_insert_with(|| {
-            let reduced = host.without_node(tx.sender);
-            let rf = rank_factors(&reduced, s, ZipfVariant::Averaged);
-            crate::zipf::normalize(rf)
+            transaction_probabilities(host, tx.sender, s, ZipfVariant::Averaged)
         });
         let p = probs.get(tx.receiver.index()).copied().unwrap_or(0.0);
         if p <= 0.0 {
@@ -136,7 +141,7 @@ pub fn estimate_zipf_s<N: Clone, E: Clone>(
 mod tests {
     use super::*;
     use crate::rates::TransactionModel;
-    use lcg_graph::generators;
+    use lcg_graph::{generators, NodeId};
     use lcg_sim::fees::TxSizeDistribution;
     use lcg_sim::workload::WorkloadBuilder;
     use rand::rngs::StdRng;
@@ -205,6 +210,45 @@ mod tests {
         let (host, txs) = workload_at(0.0, 6_000, 44);
         let (s_hat, _) = estimate_zipf_s(&host, &txs, 4.0);
         assert!(s_hat < 0.2, "uniform stream gave s = {s_hat}");
+    }
+
+    fn tx(sender: usize, receiver: usize) -> Tx {
+        Tx {
+            time: 1.0,
+            sender: NodeId(sender),
+            receiver: NodeId(receiver),
+            size: 1.0,
+        }
+    }
+
+    #[test]
+    fn sender_outside_the_host_cannot_be_generated() {
+        let host = generators::path(3);
+        assert!(zipf_log_likelihood(&host, &[tx(0, 1)], 1.0).is_finite());
+        assert_eq!(
+            zipf_log_likelihood(&host, &[tx(5, 0)], 1.0),
+            f64::NEG_INFINITY
+        );
+    }
+
+    #[test]
+    fn tombstoned_sender_cannot_be_generated() {
+        let mut host = generators::path(3);
+        host.remove_node(NodeId(1));
+        assert!(zipf_log_likelihood(&host, &[tx(0, 2)], 1.0).is_finite());
+        assert_eq!(
+            zipf_log_likelihood(&host, &[tx(1, 0)], 1.0),
+            f64::NEG_INFINITY
+        );
+    }
+
+    #[test]
+    fn receiver_outside_the_host_cannot_be_generated() {
+        let host = generators::path(3);
+        assert_eq!(
+            zipf_log_likelihood(&host, &[tx(0, 1), tx(0, 7)], 1.0),
+            f64::NEG_INFINITY
+        );
     }
 
     #[test]

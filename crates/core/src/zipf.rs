@@ -56,44 +56,92 @@ pub fn generalized_harmonic(n: usize, s: f64) -> f64 {
 /// within `g` itself.
 ///
 /// Returns a dense vector indexed by `NodeId::index()`; entries for removed
-/// nodes are `0.0`. To obtain the paper's per-sender factors, call this on
-/// `g.without_node(sender)`.
+/// nodes are `0.0`. For the paper's per-sender factors (the ranking of
+/// `G \ {sender}`), use [`transaction_probabilities`].
 ///
 /// # Panics
 ///
 /// Panics if `s` is negative or NaN (the paper requires `s > 0`; `s = 0`
 /// is allowed and yields the uniform distribution of the prior work \[19\]).
 pub fn rank_factors<N, E>(g: &DiGraph<N, E>, s: f64, variant: ZipfVariant) -> Vec<f64> {
-    assert!(
-        s >= 0.0 && !s.is_nan(),
-        "zipf parameter must be >= 0, got {s}"
-    );
-    let mut rf = vec![0.0; g.node_bound()];
-    // Sort live nodes by in-degree, highest first (rank 1).
-    let mut nodes: Vec<NodeId> = g.node_ids().collect();
-    nodes.sort_by_key(|&v| std::cmp::Reverse(g.in_degree(v)));
-    let mut i = 0;
-    while i < nodes.len() {
-        let deg = g.in_degree(nodes[i]);
-        let mut j = i;
-        while j < nodes.len() && g.in_degree(nodes[j]) == deg {
-            j += 1;
+    // No node of `g` has index `node_bound()`, so nothing is left out.
+    Ranker::new(g, s).factors(NodeId(g.node_bound()), variant)
+}
+
+/// The in-degrees of one graph and its Zipf weights, shared by every
+/// sender's ranking.
+struct Ranker<'g, N, E> {
+    g: &'g DiGraph<N, E>,
+    /// In-degree per `NodeId::index()`. [`Ranker::factors`] lowers it to
+    /// the sender's view while it ranks, and restores it before returning.
+    in_deg: Vec<usize>,
+    /// `powers[i] = (i + 1)^{-s}`: the Zipf weight of rank `i + 1`, for
+    /// ranks `1..=live + 1` (the `Literal` variant reads one rank past the
+    /// last node).
+    powers: Vec<f64>,
+    /// Reused buffer for the ranked node order.
+    order: Vec<NodeId>,
+}
+
+impl<'g, N, E> Ranker<'g, N, E> {
+    fn new(g: &'g DiGraph<N, E>, s: f64) -> Self {
+        assert!(
+            s >= 0.0 && !s.is_nan(),
+            "zipf parameter must be >= 0, got {s}"
+        );
+        Ranker {
+            g,
+            in_deg: (0..g.node_bound())
+                .map(|i| g.in_degree(NodeId(i)))
+                .collect(),
+            powers: (1..=g.node_count() + 1)
+                .map(|k| (k as f64).powf(-s))
+                .collect(),
+            order: Vec::with_capacity(g.node_count()),
         }
-        // Degree class occupies ranks i+1 ..= j (1-based), r0 = i+1.
-        let r0 = i + 1;
-        let count = j - i;
-        let terms = match variant {
-            ZipfVariant::Averaged => count,
-            ZipfVariant::Literal => count + 1,
-        };
-        let sum: f64 = (r0..r0 + terms).map(|k| (k as f64).powf(-s)).sum();
-        let factor = sum / count as f64;
-        for &v in &nodes[i..j] {
-            rf[v.index()] = factor;
-        }
-        i = j;
     }
-    rf
+
+    /// Rank factors of `G \ {sender}`, as [`rank_factors`] would return
+    /// them for `g.without_node(sender)`, without building that graph. The
+    /// two differ only in `sender`'s out-edges, so for the duration of the
+    /// ranking each such edge lowers its head's in-degree by one (a head
+    /// with parallel channels from `sender` loses one per channel). A
+    /// `sender` that is not a live node of `g` ranks all of `g`.
+    fn factors(&mut self, sender: NodeId, variant: ZipfVariant) -> Vec<f64> {
+        let Ranker {
+            g,
+            in_deg,
+            powers,
+            order,
+        } = self;
+        for head in g.out_neighbors(sender) {
+            in_deg[head.index()] -= 1;
+        }
+        // Sort the other live nodes by in-degree, highest first (rank 1).
+        order.clear();
+        order.extend(g.node_ids().filter(|&v| v != sender));
+        order.sort_by_key(|&v| std::cmp::Reverse(in_deg[v.index()]));
+        let mut rf = vec![0.0; g.node_bound()];
+        // Each degree class occupies ranks i+1 ..= i+count (1-based).
+        let mut i = 0;
+        for class in order.chunk_by(|a, b| in_deg[a.index()] == in_deg[b.index()]) {
+            let count = class.len();
+            let terms = match variant {
+                ZipfVariant::Averaged => count,
+                ZipfVariant::Literal => count + 1,
+            };
+            let sum: f64 = powers[i..i + terms].iter().sum();
+            let factor = sum / count as f64;
+            for &v in class {
+                rf[v.index()] = factor;
+            }
+            i += count;
+        }
+        for head in g.out_neighbors(sender) {
+            in_deg[head.index()] += 1;
+        }
+        rf
+    }
 }
 
 /// The probability vector `p_trans(sender, ·)` over the live nodes of the
@@ -117,12 +165,7 @@ where
     N: Clone,
     E: Clone,
 {
-    let rf = if g.contains_node(sender) {
-        rank_factors(&g.without_node(sender), s, variant)
-    } else {
-        rank_factors(g, s, variant)
-    };
-    normalize(rf)
+    normalize(Ranker::new(g, s).factors(sender, variant))
 }
 
 /// Normalizes a non-negative weight vector to sum to 1 (all-zero input is
@@ -140,17 +183,32 @@ pub fn normalize(mut weights: Vec<f64>) -> Vec<f64> {
 /// Dense matrix of pair probabilities `p_trans(s, r)` for all live host
 /// nodes, computed per sender with the `G \ {s}` ranking. Row `s` sums to 1
 /// (or 0 for isolated senders). `O(n² log n)` time, `O(n²)` space.
+///
+/// One call builds one in-degree vector and one table of Zipf weights and
+/// copies no graph: each sender's view lowers the in-degrees of its
+/// out-neighbours, ranks, and restores them. Every row equals
+/// [`transaction_probabilities`] for that sender, bit for bit.
+///
+/// # Panics
+///
+/// Panics if `s` is negative or NaN, as [`rank_factors`] does.
 pub fn pair_probabilities<N, E>(g: &DiGraph<N, E>, s: f64, variant: ZipfVariant) -> Vec<Vec<f64>>
 where
     N: Clone,
     E: Clone,
 {
     let n = g.node_bound();
-    let mut matrix = vec![vec![0.0; n]; n];
-    for sender in g.node_ids() {
-        matrix[sender.index()] = transaction_probabilities(g, sender, s, variant);
-    }
-    matrix
+    let mut ranker = Ranker::new(g, s);
+    (0..n)
+        .map(|i| {
+            let sender = NodeId(i);
+            if g.contains_node(sender) {
+                normalize(ranker.factors(sender, variant))
+            } else {
+                vec![0.0; n]
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -48,6 +48,4 @@ pub mod theorems;
 pub mod welfare;
 
 pub use game::{Game, GameParams};
-#[allow(deprecated)]
-pub use nash::check_equilibrium;
 pub use nash::{Deviation, DeviationCache, DeviationSearch, NashAnalyzer, NashReport, SearchStats};

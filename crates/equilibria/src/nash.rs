@@ -820,85 +820,6 @@ impl NashAnalyzer {
     }
 }
 
-/// Finds the best unilateral deviation of `player`, if any.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::new().best_deviation(game, player) — see DESIGN.md"
-)]
-pub fn best_deviation(game: &Game, player: NodeId, explored: &mut u64) -> Option<Deviation> {
-    let (best, stats) = search_player(
-        game,
-        player,
-        &DeviationCache::new(),
-        DeviationSearch::default(),
-        None,
-    );
-    *explored += stats.explored;
-    best
-}
-
-/// [`NashAnalyzer::best_deviation`] with a caller-owned cache.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::best_deviation — the analyzer owns the cache; see DESIGN.md"
-)]
-pub fn best_deviation_cached(
-    game: &Game,
-    player: NodeId,
-    explored: &mut u64,
-    cache: &DeviationCache,
-) -> Option<Deviation> {
-    let (best, stats) = search_player(game, player, cache, DeviationSearch::default(), None);
-    *explored += stats.explored;
-    best
-}
-
-/// The full-control deviation search.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::with_search(search).best_deviation(game, player) — see DESIGN.md"
-)]
-pub fn best_deviation_with(
-    game: &Game,
-    player: NodeId,
-    cache: &DeviationCache,
-    search: DeviationSearch,
-    ctx: Option<&EvalContext>,
-) -> (Option<Deviation>, SearchStats) {
-    search_player(game, player, cache, search, ctx)
-}
-
-/// Checks whether the current game state is a (pure) Nash equilibrium.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::new().check(game) — see DESIGN.md"
-)]
-pub fn check_equilibrium(game: &Game) -> NashReport {
-    check_impl(game, &DeviationCache::new(), DeviationSearch::default())
-}
-
-/// [`NashAnalyzer::check`] with a caller-owned cache.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::check — the analyzer owns the cache; see DESIGN.md"
-)]
-pub fn check_equilibrium_cached(game: &Game, cache: &DeviationCache) -> NashReport {
-    check_impl(game, cache, DeviationSearch::default())
-}
-
-/// [`NashAnalyzer::check`] under explicit [`DeviationSearch`] knobs.
-#[deprecated(
-    since = "0.10.0",
-    note = "use NashAnalyzer::with_search(search).check(game) — see DESIGN.md"
-)]
-pub fn check_equilibrium_with(
-    game: &Game,
-    cache: &DeviationCache,
-    search: DeviationSearch,
-) -> NashReport {
-    check_impl(game, cache, search)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
