@@ -1,20 +1,29 @@
-//! Runs every experiment E1–E13 and prints a final summary; exit code 0
-//! iff all shape verdicts passed.
+//! Runs the experiments E1–E14 of `lcg_bench::experiments::catalog()` and
+//! prints a final summary; exit code 0 iff all shape verdicts passed.
+//!
+//! With `--only <id>` (e.g. `--only E9`) it runs that one experiment.
 //!
 //! With `--update-md <path>` it additionally rewrites the block between
 //! the `GENERATED RESULTS` markers in the given markdown file (normally
 //! `EXPERIMENTS.md`) with the freshly measured tables and verdicts, so
-//! the committed data stays regenerable by one command.
+//! the committed data stays regenerable by one command. The block holds
+//! every experiment, so `--update-md` does not combine with `--only`.
 //!
 //! With `--metrics-out <path>` it enables the `lcg-obs` observability
-//! layer and writes one JSON `RunReport` per experiment (span timings +
-//! the migrated cache/delta/pruning counters) to the given file, failing
-//! with a non-zero exit on any serialization or I/O error.
+//! layer and writes one JSON `RunReport` per experiment run (span timings
+//! and the migrated cache/delta/pruning counters) to the given file,
+//! failing with a non-zero exit on any serialization or I/O error.
+
+use lcg_bench::experiments::CatalogEntry;
+use lcg_bench::report::ExperimentReport;
+
+const USAGE: &str =
+    "usage: all_experiments [--only <id>] [--update-md <path>] [--metrics-out <path>]";
 
 const BEGIN_MARK: &str = "<!-- BEGIN GENERATED RESULTS (all_experiments) -->";
 const END_MARK: &str = "<!-- END GENERATED RESULTS (all_experiments) -->";
 
-fn generated_section(reports: &[lcg_bench::report::ExperimentReport]) -> String {
+fn generated_section(reports: &[ExperimentReport]) -> String {
     let mut out = String::new();
     out.push_str(
         "_This section is generated — edit nothing inside the markers.\n\
@@ -38,7 +47,7 @@ fn generated_section(reports: &[lcg_bench::report::ExperimentReport]) -> String 
     out
 }
 
-fn update_md(path: &str, reports: &[lcg_bench::report::ExperimentReport]) {
+fn update_md(path: &str, reports: &[ExperimentReport]) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("--update-md: cannot read {path}: {e}"));
     let begin = text
@@ -58,15 +67,15 @@ fn update_md(path: &str, reports: &[lcg_bench::report::ExperimentReport]) {
     println!("updated generated section of {path}");
 }
 
-/// Runs the catalog with observability on, capturing one `RunReport` per
+/// Runs `catalog` with observability on, capturing one `RunReport` per
 /// experiment, and writes the JSON document to `path`. Any serialization
 /// or I/O failure exits non-zero — CI must not green-light a missing or
 /// invalid artifact.
-fn run_with_metrics(path: &str) -> Vec<lcg_bench::report::ExperimentReport> {
+fn run_with_metrics(catalog: &[CatalogEntry], path: &str) -> Vec<ExperimentReport> {
     lcg_obs::set_enabled(true);
     let mut reports = Vec::new();
     let mut runs = Vec::new();
-    for (id, run) in lcg_bench::experiments::catalog() {
+    for &(id, run) in catalog {
         lcg_obs::reset();
         reports.push(run());
         runs.push(lcg_obs::report::RunReport::capture(id).to_json());
@@ -84,31 +93,45 @@ fn run_with_metrics(path: &str) -> Vec<lcg_bench::report::ExperimentReport> {
     reports
 }
 
+/// Prints `why` and the usage line, and exits 2.
+fn usage_error(why: &str) -> ! {
+    eprintln!("{why}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut only: Option<String> = None;
     let mut md_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let target = match flag.as_str() {
+            "--only" => &mut only,
             "--update-md" => &mut md_path,
             "--metrics-out" => &mut metrics_path,
-            _ => {
-                eprintln!("usage: all_experiments [--update-md <path>] [--metrics-out <path>]");
-                std::process::exit(2);
-            }
+            _ => usage_error(&format!("unknown argument {flag:?}")),
         };
-        let Some(path) = iter.next() else {
-            eprintln!("{flag} requires a path argument");
-            std::process::exit(2);
+        let Some(value) = iter.next() else {
+            usage_error(&format!("{flag} requires an argument"));
         };
-        *target = Some(path.clone());
+        *target = Some(value.clone());
     }
 
+    let mut catalog = lcg_bench::experiments::catalog();
+    if let Some(id) = &only {
+        if md_path.is_some() {
+            usage_error("--update-md rewrites every experiment's results; drop --only");
+        }
+        catalog.retain(|&(entry, _)| entry == id);
+        if catalog.is_empty() {
+            usage_error(&format!("no experiment {id:?}; the ids are E1 to E14"));
+        }
+    }
     let reports = if let Some(path) = &metrics_path {
-        run_with_metrics(path)
+        run_with_metrics(&catalog, path)
     } else {
-        lcg_bench::experiments::all()
+        catalog.iter().map(|(_, run)| run()).collect()
     };
     let mut failed = 0;
     for r in &reports {

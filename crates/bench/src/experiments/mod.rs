@@ -1,8 +1,8 @@
 //! One module per experiment in DESIGN.md's index (E1–E14).
 //!
-//! Each module exposes `run() -> ExperimentReport`; the binaries in
-//! `src/bin/` are thin wrappers, and `all()` powers the `all_experiments`
-//! binary that regenerates EXPERIMENTS.md's data.
+//! Each module exposes `run() -> ExperimentReport`; [`catalog`] lists them
+//! for the `all_experiments` binary, which runs all of them (regenerating
+//! EXPERIMENTS.md's data) or one (`--only E9`).
 
 pub mod e01_fig1;
 pub mod e02_fig2;
@@ -25,8 +25,8 @@ use crate::report::ExperimentReport;
 pub type CatalogEntry = (&'static str, fn() -> ExperimentReport);
 
 /// `(experiment id, runner)` pairs in DESIGN.md order — the single
-/// source of truth for what `all()` and `all_experiments --metrics-out`
-/// execute (the latter brackets each runner with an observability
+/// source of truth for what `all_experiments` executes (`--only` filters
+/// it by id; `--metrics-out` brackets each runner with an observability
 /// reset/capture to emit one `RunReport` per experiment).
 pub fn catalog() -> Vec<CatalogEntry> {
     vec![
@@ -45,9 +45,4 @@ pub fn catalog() -> Vec<CatalogEntry> {
         ("E13", e13_ablations::run),
         ("E14", e14_faults::run),
     ]
-}
-
-/// Runs every experiment in order.
-pub fn all() -> Vec<ExperimentReport> {
-    catalog().into_iter().map(|(_, run)| run()).collect()
 }

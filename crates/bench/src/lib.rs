@@ -12,8 +12,8 @@
 //! * [`experiments`] — E1 through E12, one module each (see DESIGN.md's
 //!   experiment index for the mapping).
 //!
-//! Run a single experiment (`cargo run -p lcg-bench --bin star_equilibrium`)
-//! or everything (`cargo run -p lcg-bench --bin all_experiments`).
+//! Run everything (`cargo run -p lcg-bench --bin all_experiments`) or a
+//! single experiment (`... --bin all_experiments -- --only E9`).
 //! Criterion benches (`cargo bench -p lcg-bench`) back the runtime claims.
 
 pub mod experiments;

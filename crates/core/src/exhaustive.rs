@@ -38,7 +38,8 @@ pub struct WeakCompositions {
 }
 
 impl WeakCompositions {
-    /// Creates the iterator.
+    /// Creates the iterator. Zero units in zero parts have one
+    /// composition, the empty one.
     ///
     /// # Panics
     ///
@@ -48,18 +49,15 @@ impl WeakCompositions {
             parts > 0 || total == 0,
             "cannot split {total} units into zero parts"
         );
-        let current = if parts == 0 {
-            None
-        } else {
-            // First composition: everything in the first part.
-            let mut v = vec![0; parts];
-            v[0] = total;
-            Some(v)
-        };
+        // First composition: everything in the first part.
+        let mut first = vec![0; parts];
+        if let Some(head) = first.first_mut() {
+            *head = total;
+        }
         WeakCompositions {
             total,
             parts,
-            current,
+            current: Some(first),
         }
     }
 
@@ -92,8 +90,8 @@ impl Iterator for WeakCompositions {
         let out = self.current.clone()?;
         let v = self.current.as_mut().expect("checked above");
         let p = self.parts;
-        // Terminal composition: all units in the last part.
-        if v[p - 1] == self.total {
+        // Terminal composition: all units in the last part (or no parts).
+        if v.last().is_none_or(|&last| last == self.total) {
             self.current = None;
         } else {
             // Standard advance: decrement the rightmost positive entry
@@ -131,8 +129,11 @@ pub struct ExhaustiveResult {
     pub divisions_explored: u64,
     /// Oracle evaluations spent in total (cache hits included).
     pub evaluations: u64,
-    /// Of those, evaluations answered from the oracle's strategy memo —
-    /// adjacent divisions share greedy prefixes, so this climbs fast.
+    /// Of those, evaluations answered from the oracle's strategy memo.
+    /// Divisions with the same first part share greedy prefixes, so this
+    /// climbs fast; they also share them with no other division, so the
+    /// count is the same at any thread count (while the memo is below its
+    /// capacity).
     pub cache_hits: u64,
     /// The division (in units of `m`, including the unlocked part) that
     /// produced the best strategy.
@@ -157,6 +158,12 @@ pub struct ExhaustiveConfig {
 /// Divisions are filtered for budget feasibility as channels are opened:
 /// a greedy prefix of `j` channels with locks `l₁…l_j` is feasible iff
 /// `j·C + Σ l_i ≤ B_u`; infeasible prefixes are truncated.
+///
+/// The best division is the first of the highest `U'` in division order.
+/// The search runs in parallel, one worker per group of divisions that
+/// share their first part; the result, the evaluation count and the
+/// oracle's memo counts (while the memo is below its capacity) are the
+/// same at any thread count.
 ///
 /// # Panics
 ///
@@ -184,11 +191,8 @@ pub fn exhaustive_search(oracle: &UtilityOracle, config: ExhaustiveConfig) -> Ex
     let start_hits = oracle.cache_stats().hits;
 
     // One division → its lock-constrained greedy result (or None when the
-    // division is infeasible). Pure per division, so batches of divisions
-    // fan out across cores; the running best is updated sequentially in
-    // division order with a first-strict-max tie-break, which keeps the
-    // reported optimum identical at any thread count.
-    let run_division = |division: &Vec<u64>| -> Option<(Strategy, f64)> {
+    // division is infeasible).
+    let run_division = |division: &[u64]| -> Option<(Strategy, f64)> {
         if lcg_obs::enabled() {
             lcg_obs::counter!("core/exhaustive/divisions").inc();
         }
@@ -218,35 +222,38 @@ pub fn exhaustive_search(oracle: &UtilityOracle, config: ExhaustiveConfig) -> Ex
         Some((strategy, simplified_utility))
     };
 
-    // Stream the composition iterator in fixed-size batches so unbounded
-    // division counts never materialize at once. Batch boundaries don't
-    // depend on the thread count, preserving determinism.
-    const DIVISION_BATCH: usize = 128;
-    let mut compositions = WeakCompositions::new(units, k + 1);
-    let mut best: Option<(Strategy, f64, Vec<u64>)> = None;
-    let mut explored = 0u64;
-    loop {
-        let batch_cap = match config.max_divisions {
-            Some(cap) => ((cap - explored) as usize).min(DIVISION_BATCH),
-            None => DIVISION_BATCH,
-        };
-        let batch: Vec<Vec<u64>> = compositions.by_ref().take(batch_cap).collect();
-        if batch.is_empty() {
-            break;
-        }
-        explored += batch.len() as u64;
-        let results = lcg_parallel::par_map(&batch, run_division);
-        for (division, result) in batch.iter().zip(results) {
-            if let Some((strategy, simplified_utility)) = result {
-                if best
-                    .as_ref()
-                    .is_none_or(|(_, v, _)| simplified_utility > *v)
-                {
-                    best = Some((strategy, simplified_utility, division.clone()));
-                }
+    // Divisions with the same first part `l₁` open the same first channel
+    // lock, so their greedy runs share memo entries with each other and
+    // with no other subtree. One worker walks each subtree's divisions in
+    // division order, so every strategy is evaluated once at any thread
+    // count, and returns the subtree's first strict maximum. The subtrees'
+    // bests are then reduced in division order with the same tie-break,
+    // which gives the first-strict-max division overall.
+    let subtrees = first_part_subtrees(units, k + 1, config.max_divisions);
+    let best_of_subtree = |(first, count): (u64, u64)| -> Option<Best> {
+        let mut best: Option<Best> = None;
+        for rest in WeakCompositions::new(units - first, k).take(count as usize) {
+            let division: Vec<u64> = std::iter::once(first).chain(rest).collect();
+            if let Some((strategy, value)) = run_division(&division) {
+                keep_first_max(&mut best, (strategy, value, division));
             }
         }
+        best
+    };
+    // Largest subtree first, so the longest walk starts at once and the
+    // small ones fill in around it.
+    let mut schedule: Vec<usize> = (0..subtrees.len()).collect();
+    schedule.sort_by_key(|&i| std::cmp::Reverse(subtrees[i].1));
+    let walked = lcg_parallel::par_map(&schedule, |&i| best_of_subtree(subtrees[i]));
+    let mut bests: Vec<Option<Best>> = vec![None; subtrees.len()];
+    for (&i, subtree_best) in schedule.iter().zip(walked) {
+        bests[i] = subtree_best;
     }
+    let mut best: Option<Best> = None;
+    for candidate in bests.into_iter().flatten() {
+        keep_first_max(&mut best, candidate);
+    }
+    let explored = subtrees.iter().map(|&(_, count)| count).sum();
 
     let (strategy, simplified_utility, best_division) =
         best.unwrap_or((Strategy::empty(), f64::NEG_INFINITY, Vec::new()));
@@ -260,17 +267,51 @@ pub fn exhaustive_search(oracle: &UtilityOracle, config: ExhaustiveConfig) -> Ex
     }
 }
 
+/// A division's greedy result: strategy, its `U'` and the division.
+type Best = (Strategy, f64, Vec<u64>);
+
+/// Replaces `best` with `candidate` iff the candidate's `U'` is strictly
+/// higher, so the first of equal maxima in visiting order wins.
+fn keep_first_max(best: &mut Option<Best>, candidate: Best) {
+    if best.as_ref().is_none_or(|(_, v, _)| candidate.1 > *v) {
+        *best = Some(candidate);
+    }
+}
+
+/// The first-part subtrees of the weak compositions of `units` into
+/// `parts` parts, as `(first part, division count)` in division order
+/// (first part descending), cut to the first `cap` divisions. Subtrees
+/// past the cap are left out; none is empty.
+fn first_part_subtrees(units: u64, parts: usize, cap: Option<u64>) -> Vec<(u64, u64)> {
+    let mut left = cap.unwrap_or(u64::MAX);
+    // With one part the only division is `[units]`.
+    let lowest = if parts == 1 { units } else { 0 };
+    let mut subtrees = Vec::new();
+    for first in (lowest..=units).rev() {
+        if left == 0 {
+            break;
+        }
+        let count = WeakCompositions::count_total(units - first, parts - 1);
+        let count = u64::try_from(count).unwrap_or(u64::MAX).min(left);
+        left -= count;
+        subtrees.push((first, count));
+    }
+    subtrees
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::utility::{UtilityOracle, UtilityParams};
     use lcg_graph::generators;
     use lcg_graph::NodeId;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::collections::HashSet;
 
     #[test]
     fn compositions_enumerate_exactly_once() {
-        for (total, parts) in [(0u64, 1usize), (3, 1), (4, 2), (3, 3), (5, 4)] {
+        for (total, parts) in [(0u64, 0usize), (0, 1), (3, 1), (4, 2), (3, 3), (5, 4)] {
             let all: Vec<Vec<u64>> = WeakCompositions::new(total, parts).collect();
             let expect = WeakCompositions::count_total(total, parts);
             assert_eq!(all.len() as u128, expect, "count for ({total},{parts})");
@@ -279,6 +320,108 @@ mod tests {
             for comp in &all {
                 assert_eq!(comp.iter().sum::<u64>(), total);
                 assert_eq!(comp.len(), parts);
+            }
+        }
+    }
+
+    /// Algorithm 2 as one sequential walk over the first `cap` divisions
+    /// in division order, with a first-strict-max: what the subtree
+    /// fan-out must reproduce, memo counts included.
+    fn sequential_reference(oracle: &UtilityOracle, config: ExhaustiveConfig) -> ExhaustiveResult {
+        let c = oracle.params().cost.onchain_fee;
+        let units = (config.budget / config.granularity).floor() as u64;
+        let k = (config.budget / c).floor() as usize;
+        let (start_evals, start_hits) = (oracle.evaluation_count(), oracle.cache_stats().hits);
+        let cap = config.max_divisions.map_or(usize::MAX, |cap| cap as usize);
+        let mut best: Option<(Strategy, f64, Vec<u64>)> = None;
+        let mut explored = 0;
+        for division in WeakCompositions::new(units, k + 1).take(cap) {
+            explored += 1;
+            let (mut locks, mut spent) = (Vec::new(), 0.0);
+            for &part in division.iter().take(k) {
+                let lock = part as f64 * config.granularity;
+                if spent + c + lock > config.budget + 1e-9 {
+                    break;
+                }
+                spent += c + lock;
+                locks.push(lock);
+            }
+            if locks.is_empty() {
+                continue;
+            }
+            let run = greedy_with_locks(oracle, &locks);
+            if run.strategy.is_within_budget(c, config.budget)
+                && best
+                    .as_ref()
+                    .is_none_or(|(_, v, _)| run.simplified_utility > *v)
+            {
+                best = Some((run.strategy, run.simplified_utility, division));
+            }
+        }
+        let (strategy, simplified_utility, best_division) =
+            best.unwrap_or((Strategy::empty(), f64::NEG_INFINITY, Vec::new()));
+        ExhaustiveResult {
+            strategy,
+            simplified_utility,
+            divisions_explored: explored,
+            evaluations: oracle.evaluation_count() - start_evals,
+            cache_hits: oracle.cache_stats().hits - start_hits,
+            best_division,
+        }
+    }
+
+    #[test]
+    fn subtree_fan_out_matches_a_sequential_walk() {
+        let mut rng = StdRng::seed_from_u64(7919);
+        let ba = generators::barabasi_albert(12, 2, &mut rng);
+        let ba_oracle = || UtilityOracle::new(ba.clone(), vec![1.0; 12], UtilityParams::default());
+        // On the star only locks ≥ 1 carry payments, so one hub channel
+        // scores the same in several first-part subtrees and the tie-break
+        // across subtrees picks the winner.
+        let hosts: [(&str, &dyn Fn() -> UtilityOracle); 2] =
+            [("star", &|| star_oracle(4, 1.0)), ("BA-12", &ba_oracle)];
+        // (budget, granularity): C = 1, so 0 < budget < C leaves k = 0.
+        for (budget, granularity) in [(3.0, 1.0), (4.0, 1.0), (0.0, 1.0), (0.5, 0.25)] {
+            let units = (budget / granularity) as u64;
+            let parts = budget as usize + 1;
+            let total = WeakCompositions::count_total(units, parts) as u64;
+            // In division order the first subtree (all units up front)
+            // holds one division and the second `count_total(1, parts - 1)`.
+            let boundary = 1 + WeakCompositions::count_total(1, parts - 1) as u64;
+            let inside = boundary + 1;
+            let caps = [
+                Some(0),
+                Some(1),
+                Some(boundary),
+                Some(inside),
+                Some(total + 3),
+                None,
+            ];
+            for (name, oracle) in &hosts {
+                for max_divisions in caps {
+                    let config = ExhaustiveConfig {
+                        budget,
+                        granularity,
+                        max_divisions,
+                    };
+                    let at =
+                        format!("{name}, budget {budget}/{granularity}, cap {max_divisions:?}");
+                    let expect = sequential_reference(&oracle(), config);
+                    let got = exhaustive_search(&oracle(), config);
+                    assert_eq!(got.strategy, expect.strategy, "{at}: strategy");
+                    assert_eq!(
+                        got.simplified_utility.to_bits(),
+                        expect.simplified_utility.to_bits(),
+                        "{at}: simplified utility"
+                    );
+                    assert_eq!(got.best_division, expect.best_division, "{at}: division");
+                    assert_eq!(
+                        got.divisions_explored, expect.divisions_explored,
+                        "{at}: explored"
+                    );
+                    assert_eq!(got.evaluations, expect.evaluations, "{at}: evaluations");
+                    assert_eq!(got.cache_hits, expect.cache_hits, "{at}: memo hits");
+                }
             }
         }
     }

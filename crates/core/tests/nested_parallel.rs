@@ -5,7 +5,8 @@
 //! incremental betweenness engine, whose Brandes source chunks go through
 //! `lcg_parallel` again — from inside the optimizer's own workers, where
 //! they run inline. Each worker count gets a fresh oracle, so no run is
-//! answered from another run's memo.
+//! answered from another run's memo, and Algorithm 2's memo counts must
+//! match the 1-worker run's: no strategy is evaluated twice.
 //!
 //! Run with `cargo test -q -p lcg-core --test nested_parallel`.
 
@@ -99,10 +100,10 @@ fn exhaustive_search_is_identical_at_one_two_and_eight_workers() {
     };
     let _lock = threads_lock();
     for (i, host) in ba_hosts(7919, 36, 2).iter().enumerate() {
-        let runs = at_each_worker_count(host, |o| exhaustive_search(o, config));
-        let base = &runs[0];
+        let runs = at_each_worker_count(host, |o| (exhaustive_search(o, config), o.cache_stats()));
+        let (base, base_memo) = &runs[0];
         assert!(!base.strategy.is_empty(), "host {i}: empty strategy");
-        for (run, workers) in runs.iter().zip(WORKERS).skip(1) {
+        for ((run, memo), workers) in runs.iter().zip(WORKERS).skip(1) {
             let at = format!("host {i}, {workers} workers");
             assert_eq!(run.strategy, base.strategy, "{at}: strategy");
             assert_eq!(
@@ -110,6 +111,10 @@ fn exhaustive_search_is_identical_at_one_two_and_eight_workers() {
                 base.simplified_utility.to_bits(),
                 "{at}: simplified utility"
             );
+            // No strategy is evaluated twice: the workers never miss the
+            // memo on a strategy another worker computes too.
+            assert_eq!(memo.misses, base_memo.misses, "{at}: memo misses");
+            assert_eq!(memo.hits, base_memo.hits, "{at}: memo hits");
             assert_eq!(run.best_division, base.best_division, "{at}: division");
             assert_eq!(
                 run.divisions_explored, base.divisions_explored,

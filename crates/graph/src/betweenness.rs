@@ -40,12 +40,38 @@ pub type NodeScores = Vec<f64>;
 /// bit-identical to the from-scratch path.
 pub const SOURCE_CHUNK: usize = 8;
 
-/// Runs `kernel` over every chunk of `sources` in parallel and sums the
+/// What one worker of a Brandes source loop keeps across its chunks: the
+/// BFS tree each recomputed source refills and the per-node dependency
+/// buffer it overwrites. [`lcg_parallel::par_map_init`] builds one per
+/// worker per call, so a loop allocates them once per worker, not once per
+/// chunk; every value is overwritten before it is read.
+#[derive(Default)]
+pub(crate) struct SourceBuffers {
+    pub(crate) tree: BfsTree,
+    pub(crate) delta: Vec<f64>,
+}
+
+impl SourceBuffers {
+    /// Refills the tree from `s` on `g` and returns `s`'s node
+    /// dependencies (see [`node_dependencies`]).
+    pub(crate) fn recompute<N, E, W>(&mut self, g: &DiGraph<N, E>, s: NodeId, weight: &W) -> &[f64]
+    where
+        W: Fn(NodeId, NodeId) -> f64,
+    {
+        self.tree.rerun(g, s, None, |_, _, _| true);
+        self.delta.resize(g.node_bound(), 0.0);
+        node_dependencies(g, &self.tree, weight, &mut self.delta);
+        &self.delta
+    }
+}
+
+/// Runs `kernel` over every chunk of `g`'s sources in parallel and sums the
 /// partial vectors in deterministic chunk order.
-fn accumulate_over_source_chunks<K>(sources: &[NodeId], out_len: usize, kernel: K) -> Vec<f64>
+fn accumulate_over_source_chunks<N, E, K>(g: &DiGraph<N, E>, out_len: usize, kernel: K) -> Vec<f64>
 where
-    K: Fn(&[NodeId], &mut Vec<f64>) + Sync,
+    K: Fn(&mut SourceBuffers, &[NodeId], &mut [f64]) + Sync,
 {
+    let sources: Vec<NodeId> = g.node_ids().collect();
     let chunks: Vec<&[NodeId]> = sources.chunks(SOURCE_CHUNK).collect();
     let observe = lcg_obs::enabled();
     let outer_span = if observe {
@@ -58,13 +84,13 @@ where
     } else {
         None
     };
-    let run_chunk = |chunk: &&[NodeId]| {
+    let run_chunk = |bufs: &mut SourceBuffers, chunk: &&[NodeId]| {
         let _chunk_timer = lcg_obs::timer!("graph/brandes/chunk_ns");
         let mut partial = vec![0.0; out_len];
-        kernel(chunk, &mut partial);
+        kernel(bufs, chunk, &mut partial);
         partial
     };
-    let partials = lcg_parallel::par_map(&chunks, run_chunk);
+    let partials = lcg_parallel::par_map_init(&chunks, SourceBuffers::default, run_chunk);
     let total = lcg_parallel::sum_vecs(vec![0.0; out_len], partials);
     drop(outer_span);
     total
@@ -98,10 +124,9 @@ where
     E: Sync,
     W: Fn(NodeId, NodeId) -> f64 + Sync,
 {
-    let sources: Vec<NodeId> = g.node_ids().collect();
-    accumulate_over_source_chunks(&sources, g.edge_bound(), |chunk, scores| {
-        let mut delta = vec![0.0; g.node_bound()];
-        let mut tree = BfsTree::default();
+    accumulate_over_source_chunks(g, g.edge_bound(), |bufs, chunk, scores| {
+        let SourceBuffers { tree, delta } = bufs;
+        delta.resize(g.node_bound(), 0.0);
         for &s in chunk {
             tree.rerun(g, s, None, |_, _, _| true);
             for d in delta.iter_mut() {
@@ -144,13 +169,9 @@ where
     E: Sync,
     W: Fn(NodeId, NodeId) -> f64 + Sync,
 {
-    let sources: Vec<NodeId> = g.node_ids().collect();
-    accumulate_over_source_chunks(&sources, g.node_bound(), |chunk, scores| {
-        let mut delta = vec![0.0; g.node_bound()];
-        let mut tree = BfsTree::default();
+    accumulate_over_source_chunks(g, g.node_bound(), |bufs, chunk, scores| {
         for &s in chunk {
-            tree.rerun(g, s, None, |_, _, _| true);
-            node_dependencies(g, &tree, &weight, &mut delta);
+            let delta = bufs.recompute(g, s, &weight);
             for v in g.node_ids() {
                 if v != s {
                     scores[v.index()] += delta[v.index()];

@@ -70,7 +70,9 @@
 //! kernel). A configurable affected-fraction threshold falls back to full
 //! Brandes, which is bit-identical by construction.
 
-use crate::betweenness::{node_dependencies, weighted_node_betweenness, NodeScores, SOURCE_CHUNK};
+use crate::betweenness::{
+    node_dependencies, weighted_node_betweenness, NodeScores, SourceBuffers, SOURCE_CHUNK,
+};
 use crate::bfs::{bfs, BfsTree};
 use crate::graph::{DiGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -588,52 +590,36 @@ where
             None
         };
         let chunks: Vec<&[NodeId]> = self.sources.chunks(SOURCE_CHUNK).collect();
-        let run_chunk = |chunk: &&[NodeId]| {
+        let weight = |a, b| self.effective_weight(override_rows, a, b);
+        let run_chunk = |bufs: &mut SourceBuffers, chunk: &&[NodeId]| {
             let mut partial = vec![0.0; out_len];
-            let mut delta_buf = vec![0.0; out_len];
-            let mut recompute_tree = BfsTree::default();
             for &s in *chunk {
-                match tiers[s.index()] {
+                let delta = match tiers[s.index()] {
                     Tier::Replay => {
                         let cached =
                             &contributions.expect("replay tier built contributions")[s.index()];
                         for (p, c) in partial.iter_mut().zip(cached) {
                             *p += *c;
                         }
+                        continue;
                     }
                     Tier::Reweight => {
                         let tree = self.trees[s.index()].as_ref().expect("live source tree");
-                        node_dependencies(
-                            updated,
-                            tree,
-                            &|a, b| self.effective_weight(override_rows, a, b),
-                            &mut delta_buf,
-                        );
-                        for v in updated.node_ids() {
-                            if v != s {
-                                partial[v.index()] += delta_buf[v.index()];
-                            }
-                        }
+                        bufs.delta.resize(out_len, 0.0);
+                        node_dependencies(updated, tree, &weight, &mut bufs.delta);
+                        &bufs.delta
                     }
-                    Tier::Recompute => {
-                        recompute_tree.rerun(updated, s, None, |_, _, _| true);
-                        node_dependencies(
-                            updated,
-                            &recompute_tree,
-                            &|a, b| self.effective_weight(override_rows, a, b),
-                            &mut delta_buf,
-                        );
-                        for v in updated.node_ids() {
-                            if v != s {
-                                partial[v.index()] += delta_buf[v.index()];
-                            }
-                        }
+                    Tier::Recompute => bufs.recompute(updated, s, &weight),
+                };
+                for v in updated.node_ids() {
+                    if v != s {
+                        partial[v.index()] += delta[v.index()];
                     }
                 }
             }
             partial
         };
-        let partials = lcg_parallel::par_map(&chunks, run_chunk);
+        let partials = lcg_parallel::par_map_init(&chunks, SourceBuffers::default, run_chunk);
         let scores = lcg_parallel::sum_vecs(vec![0.0; out_len], partials);
         let stats = self.query_stats(&tiers);
         self.record(stats);
@@ -668,52 +654,30 @@ where
         };
         let out_len = updated.node_bound();
         let chunks: Vec<&[NodeId]> = self.sources.chunks(SOURCE_CHUNK).collect();
-        let run_chunk = |chunk: &&[NodeId]| -> f64 {
+        let weight = |a, b| self.effective_weight(override_rows, a, b);
+        let run_chunk = |bufs: &mut SourceBuffers, chunk: &&[NodeId]| -> f64 {
             let mut partial = 0.0;
-            let mut delta_buf = Vec::new();
-            let mut recompute_tree = BfsTree::default();
             for &s in *chunk {
                 if s == v {
                     // The from-scratch reduction never adds a source's own
                     // dependency to its score.
                     continue;
                 }
-                match tiers[s.index()] {
-                    Tier::Replay => {
-                        partial += contributions.expect("replay tier built contributions")
-                            [s.index()][v.index()];
-                    }
+                partial += match tiers[s.index()] {
+                    Tier::Replay => contributions.expect("replay tier built contributions")
+                        [s.index()][v.index()],
                     Tier::Reweight => {
-                        if delta_buf.is_empty() {
-                            delta_buf = vec![0.0; out_len];
-                        }
                         let tree = self.trees[s.index()].as_ref().expect("live source tree");
-                        node_dependencies(
-                            updated,
-                            tree,
-                            &|a, b| self.effective_weight(override_rows, a, b),
-                            &mut delta_buf,
-                        );
-                        partial += delta_buf[v.index()];
+                        bufs.delta.resize(out_len, 0.0);
+                        node_dependencies(updated, tree, &weight, &mut bufs.delta);
+                        bufs.delta[v.index()]
                     }
-                    Tier::Recompute => {
-                        if delta_buf.is_empty() {
-                            delta_buf = vec![0.0; out_len];
-                        }
-                        recompute_tree.rerun(updated, s, None, |_, _, _| true);
-                        node_dependencies(
-                            updated,
-                            &recompute_tree,
-                            &|a, b| self.effective_weight(override_rows, a, b),
-                            &mut delta_buf,
-                        );
-                        partial += delta_buf[v.index()];
-                    }
-                }
+                    Tier::Recompute => bufs.recompute(updated, s, &weight)[v.index()],
+                };
             }
             partial
         };
-        let partials = lcg_parallel::par_map(&chunks, run_chunk);
+        let partials = lcg_parallel::par_map_init(&chunks, SourceBuffers::default, run_chunk);
         let mut score = 0.0;
         for p in partials {
             score += p;

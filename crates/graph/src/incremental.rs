@@ -57,7 +57,9 @@
 //! back to the existing full Brandes path, which is bit-identical by
 //! construction.
 
-use crate::betweenness::{node_dependencies, weighted_node_betweenness, NodeScores, SOURCE_CHUNK};
+use crate::betweenness::{
+    node_dependencies, weighted_node_betweenness, NodeScores, SourceBuffers, SOURCE_CHUNK,
+};
 use crate::bfs::{bfs, BfsTree};
 use crate::graph::{DiGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -398,10 +400,8 @@ where
         let aug_sources: Vec<NodeId> = aug.node_ids().collect();
         let contributions = self.contributions();
         let chunks: Vec<&[NodeId]> = aug_sources.chunks(SOURCE_CHUNK).collect();
-        let run_chunk = |chunk: &&[NodeId]| {
+        let run_chunk = |bufs: &mut SourceBuffers, chunk: &&[NodeId]| {
             let mut partial = vec![0.0; out_len];
-            let mut delta = vec![0.0; out_len];
-            let mut tree = BfsTree::default();
             for &s in *chunk {
                 if s != u && !affected[s.index()] {
                     // Replay the snapshot: bit-equal to what the kernel
@@ -411,8 +411,7 @@ where
                         *p += *c;
                     }
                 } else {
-                    tree.rerun(&aug, s, None, |_, _, _| true);
-                    node_dependencies(&aug, &tree, &|a, b| self.weight(a, b), &mut delta);
+                    let delta = bufs.recompute(&aug, s, &|a, b| self.weight(a, b));
                     for v in aug.node_ids() {
                         if v != s {
                             partial[v.index()] += delta[v.index()];
@@ -422,7 +421,7 @@ where
             }
             partial
         };
-        let partials = lcg_parallel::par_map(&chunks, run_chunk);
+        let partials = lcg_parallel::par_map_init(&chunks, SourceBuffers::default, run_chunk);
         let scores = lcg_parallel::sum_vecs(vec![0.0; out_len], partials);
         let stats = QueryStats {
             recomputed_sources: affected_count + 1,
@@ -469,24 +468,17 @@ where
         // augmented source list to preserve the from-scratch grouping.
         let aug_sources: Vec<NodeId> = aug.node_ids().collect();
         let chunks: Vec<&[NodeId]> = aug_sources.chunks(SOURCE_CHUNK).collect();
-        let run_chunk = |chunk: &&[NodeId]| -> f64 {
+        let run_chunk = |bufs: &mut SourceBuffers, chunk: &&[NodeId]| -> f64 {
             let mut partial = 0.0;
-            let mut delta = Vec::new();
-            let mut tree = BfsTree::default();
             for &s in *chunk {
                 if s == u || !affected[s.index()] {
                     continue;
                 }
-                if delta.is_empty() {
-                    delta = vec![0.0; aug.node_bound()];
-                }
-                tree.rerun(aug, s, None, |_, _, _| true);
-                node_dependencies(aug, &tree, &|a, b| self.weight(a, b), &mut delta);
-                partial += delta[u.index()];
+                partial += bufs.recompute(aug, s, &|a, b| self.weight(a, b))[u.index()];
             }
             partial
         };
-        let partials = lcg_parallel::par_map(&chunks, run_chunk);
+        let partials = lcg_parallel::par_map_init(&chunks, SourceBuffers::default, run_chunk);
         let mut score = 0.0;
         for p in partials {
             score += p;

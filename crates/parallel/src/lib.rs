@@ -9,9 +9,10 @@
 //!
 //! ## Determinism guarantee
 //!
-//! [`par_map`]/[`par_map_range`] always return results **in input
-//! order**, and callers reduce those vectors sequentially. Floating-point
-//! accumulation order is therefore independent of the thread count:
+//! [`par_map`], [`par_map_range`] and [`par_map_init`] always return
+//! results **in input order**, and callers reduce those vectors
+//! sequentially. Floating-point accumulation order is therefore
+//! independent of the thread count:
 //! running with `LCG_THREADS=1` (or [`set_max_threads`]`(1)`) produces
 //! **bit-identical** numbers to the fully parallel run. Tests rely on this.
 //!
@@ -19,10 +20,10 @@
 //!
 //! Parallelism has one level. The outermost call fans out; a call made
 //! from inside one of its workers — e.g. the Brandes chunks of an oracle
-//! evaluation scored by a greedy worker — runs inline on that worker,
-//! with the same items in the same order, so it spawns nothing and its
-//! results are unchanged. The known cost: an outer call with fewer items
-//! than workers leaves the spare cores idle.
+//! evaluation made by an Algorithm 1 or 2 worker — runs inline on that
+//! worker, with the same items in the same order, so it spawns nothing
+//! and its results are unchanged. The known cost: an outer call with
+//! fewer items than workers leaves the spare cores idle.
 //!
 //! Work items are handed out through a shared atomic cursor (dynamic
 //! scheduling), so unbalanced items — e.g. deviation sets of different
@@ -30,6 +31,12 @@
 //! worker buffers `(index, value)` pairs locally; the caller's thread
 //! splices them back into order. Spawning is skipped entirely when the
 //! effective thread count is 1 or the input is tiny.
+//!
+//! [`par_map_init`] lends each worker one value that it builds before its
+//! first item and keeps across every item it maps — e.g. the BFS tree a
+//! Brandes source loop refills per source. Its items are still handed
+//! out one at a time, so which worker maps an item (and how many values
+//! are built) varies run to run; results must not depend on it.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -90,6 +97,35 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    map_range_init(n, || (), |_, i| f(i))
+}
+
+/// Parallel `items.iter().map(f)` where `f` borrows per-worker state,
+/// results in input order: the shape of rayon's `map_init`.
+///
+/// Each spawned worker calls `init()` once, before its first item, and
+/// lends that value to `f` for every item it maps; a worker that draws no
+/// item never calls it. When the map runs inline (one thread, a tiny
+/// input, or nested inside another call's worker) `init()` runs once on
+/// the calling thread. The state is working storage: results must not
+/// depend on which items shared it.
+pub fn par_map_init<T, S, R, I, F>(items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
+    map_range_init(items.len(), init, |state, i| f(state, &items[i]))
+}
+
+/// The one spawn/splice loop behind every map of this crate.
+fn map_range_init<S, R, I, F>(n: usize, init: I, f: F) -> Vec<R>
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> R + Sync,
+{
     // The flag is tested first, so a nested call never reads the environment.
     let threads = if n < PAR_THRESHOLD || IN_WORKER.get() {
         1
@@ -97,7 +133,8 @@ where
         max_threads().min(n)
     };
     if threads <= 1 {
-        return (0..n).map(f).collect();
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
     }
 
     // Per-worker chunk timing: each worker opens its own root span (spans
@@ -121,13 +158,14 @@ where
                 } else {
                     None
                 };
+                let mut state = None;
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
                     }
-                    local.push((i, f(i)));
+                    local.push((i, f(state.get_or_insert_with(&init), i)));
                 }
                 if let Some(span) = worker_span.as_mut() {
                     span.field_u64("items", local.len() as u64);
@@ -171,6 +209,7 @@ pub fn sum_vecs(mut acc: Vec<f64>, parts: Vec<Vec<f64>>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     /// Serializes the tests that set the process-global worker count, so
     /// one cannot change it under another.
@@ -228,6 +267,93 @@ mod tests {
             );
             let values: Vec<usize> = inner.iter().map(|&(_, v)| v).collect();
             assert_eq!(values, (0..40).map(|j| 100 * i + j).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn par_map_init_preserves_order() {
+        let _lock = threads_lock();
+        let items: Vec<usize> = (0..1000).collect();
+        for workers in [1, 2, 8] {
+            set_max_threads(workers);
+            let out = par_map_init(&items, Vec::<usize>::new, |seen, &x| {
+                seen.push(x);
+                x * 3
+            });
+            set_max_threads(0);
+            assert_eq!(out, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn par_map_init_builds_at_most_one_state_per_worker() {
+        let _lock = threads_lock();
+        let builders = Mutex::new(Vec::new());
+        let items: Vec<usize> = (0..200).collect();
+        set_max_threads(2);
+        let out = par_map_init(
+            &items,
+            || builders.lock().unwrap().push(std::thread::current().id()),
+            |_, &x| x,
+        );
+        set_max_threads(0);
+        assert_eq!(out, items);
+        let builders = builders.into_inner().unwrap();
+        let caller = std::thread::current().id();
+        assert!(
+            (1..=2).contains(&builders.len()),
+            "{} states",
+            builders.len()
+        );
+        assert!(builders.iter().all(|&t| t != caller), "built on the caller");
+        let distinct: HashSet<_> = builders.iter().collect();
+        assert_eq!(distinct.len(), builders.len(), "a worker built twice");
+    }
+
+    #[test]
+    fn par_map_init_inline_builds_exactly_one_state() {
+        let _lock = threads_lock();
+        let count_inits = |n: usize| {
+            let inits = AtomicUsize::new(0);
+            let items: Vec<usize> = (0..n).collect();
+            let out = par_map_init(
+                &items,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, &x| x + 1,
+            );
+            assert_eq!(out, (1..=n).collect::<Vec<_>>());
+            inits.into_inner()
+        };
+        set_max_threads(1);
+        let sequential = count_inits(100);
+        set_max_threads(2);
+        let nested = par_map_range(6, |_| count_inits(40));
+        set_max_threads(0);
+        assert_eq!(sequential, 1, "set_max_threads(1)");
+        assert_eq!(nested, vec![1; 6], "nested inside a worker");
+    }
+
+    #[test]
+    fn par_map_init_state_carries_across_a_workers_items() {
+        let _lock = threads_lock();
+        let items: Vec<usize> = (0..300).collect();
+        set_max_threads(2);
+        let out = par_map_init(
+            &items,
+            || (std::thread::current().id(), 0usize),
+            |(owner, mapped), _| {
+                assert_eq!(*owner, std::thread::current().id(), "state left its worker");
+                *mapped += 1;
+                (*owner, *mapped)
+            },
+        );
+        set_max_threads(0);
+        // A worker draws rising indices, so in input order each state's
+        // count reads 1, 2, 3, ... over the items it mapped.
+        let mut last: HashMap<std::thread::ThreadId, usize> = HashMap::new();
+        for (owner, mapped) in out {
+            let prev = last.insert(owner, mapped).unwrap_or(0);
+            assert_eq!(mapped, prev + 1, "state did not carry over");
         }
     }
 
