@@ -70,7 +70,8 @@ impl WeakCompositions {
     }
 }
 
-/// Binomial coefficient `C(n, k)` in `u128` (saturating on overflow).
+/// Binomial coefficient `C(n, k)` in `u128`: exact whenever it fits,
+/// `u128::MAX` when it does not.
 pub fn binomial(n: u128, k: u128) -> u128 {
     if k > n {
         return 0;
@@ -78,9 +79,26 @@ pub fn binomial(n: u128, k: u128) -> u128 {
     let k = k.min(n - k);
     let mut result: u128 = 1;
     for i in 0..k {
-        result = result.saturating_mul(n - i) / (i + 1);
+        // C(n, i + 1) = C(n, i) · (n − i) / (i + 1). With the gcd of
+        // C(n, i) and i + 1 divided out, the rest of i + 1 divides n − i,
+        // so the step multiplies two exact quotients and overflows only
+        // if C(n, i + 1) does. C(n, j) grows with j up to n / 2 ≥ k, so
+        // then C(n, k) overflows too.
+        let g = gcd(result, i + 1);
+        let factor = (n - i) / ((i + 1) / g);
+        match (result / g).checked_mul(factor) {
+            Some(next) => result = next,
+            None => return u128::MAX,
+        }
     }
     result
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 impl Iterator for WeakCompositions {
@@ -433,6 +451,30 @@ mod tests {
         assert_eq!(WeakCompositions::count_total(0, 5), 1);
         assert_eq!(binomial(10, 3), 120);
         assert_eq!(binomial(3, 5), 0);
+    }
+
+    #[test]
+    fn binomial_matches_pascal() {
+        // Rows of Pascal's triangle by checked addition; `None` marks an
+        // entry past u128, where `binomial` must saturate.
+        let mut row: Vec<Option<u128>> = vec![Some(1)];
+        for n in 0..=140u128 {
+            for (k, &want) in row.iter().enumerate() {
+                let got = binomial(n, k as u128);
+                assert_eq!(got, want.unwrap_or(u128::MAX), "C({n}, {k})");
+            }
+            let mut next = vec![Some(1); row.len() + 1];
+            for k in 1..row.len() {
+                next[k] = row[k - 1].zip(row[k]).and_then(|(a, b)| a.checked_add(b));
+            }
+            row = next;
+        }
+        assert_eq!(binomial(63, 31), 916_312_070_471_295_267);
+        assert_eq!(
+            binomial(126, 63),
+            6_034_934_435_761_406_706_427_864_636_568_328_000
+        );
+        assert_eq!(binomial(200, 100), u128::MAX);
     }
 
     fn star_oracle(leaves: usize, min_usable_lock: f64) -> UtilityOracle {

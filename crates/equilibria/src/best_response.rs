@@ -6,12 +6,11 @@
 //! turns playing an (exhaustively found) best response until nobody can
 //! improve or a round limit is hit. If the dynamics stop, the final state
 //! is a Nash equilibrium by construction; the experiments use this to
-//! discover which topologies the game actually converges to.
+//! discover which topologies the game actually converges to. The entry
+//! point is [`NashAnalyzer::run_dynamics`].
 
 use crate::game::Game;
-use crate::nash::{
-    search_player, Deviation, DeviationCache, DeviationSearch, EvalContext, NashAnalyzer,
-};
+use crate::nash::{search_player, Deviation, EvalContext, NashAnalyzer, SearchStats};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of running best-response dynamics.
@@ -29,124 +28,74 @@ pub struct DynamicsReport {
     /// (see [`NashReport::bound_pruned`](crate::nash::NashReport)).
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Brandes source recomputations paid for cache-miss utility
-    /// evaluations.
+    /// Brandes source recomputations paid for utility evaluations.
     #[serde(default)]
     pub sources_recomputed: u64,
     /// Sources that reused their cached BFS tree and only re-ran the
     /// dependency kernel under a changed Zipf row.
     #[serde(default)]
     pub sources_reweighted: u64,
-    /// Utility lookups answered from the shared deviation cache. Rounds
-    /// near convergence re-explore mostly unchanged states, so this
-    /// approaches `explored` as the dynamics settle.
-    pub cache_hits: u64,
-}
-
-/// Runs best-response dynamics in place, mutating `game` toward a stable
-/// state.
-///
-/// Each round iterates players in id order; a player with a strictly
-/// profitable deviation applies the *best* one immediately (sequential
-/// better-response with exact best responses). Stops after a deviation-free
-/// round (convergence: the state is then a verified Nash equilibrium) or
-/// after `max_rounds`.
-///
-/// # Examples
-///
-/// ```
-/// use lcg_equilibria::game::{Game, GameParams};
-/// use lcg_equilibria::best_response::run_dynamics;
-///
-/// let params = GameParams { zipf_s: 10.0, a: 0.1, b: 0.1, link_cost: 1.0,
-///                           ..GameParams::default() };
-/// let mut game = Game::path(4, params);
-/// let report = run_dynamics(&mut game, 20);
-/// assert!(report.converged);
-/// ```
-pub fn run_dynamics(game: &mut Game, max_rounds: usize) -> DynamicsReport {
-    run_dynamics_cached(game, max_rounds, &DeviationCache::new())
-}
-
-/// [`run_dynamics`] against a caller-owned [`DeviationCache`], letting a
-/// subsequent check through the same cache (or further dynamics on the
-/// same game) reuse every utility this run computed.
-pub fn run_dynamics_cached(
-    game: &mut Game,
-    max_rounds: usize,
-    cache: &DeviationCache,
-) -> DynamicsReport {
-    run_dynamics_with(game, max_rounds, cache, DeviationSearch::default())
-}
-
-/// [`run_dynamics_cached`] under explicit [`DeviationSearch`] knobs.
-///
-/// The incremental [`EvalContext`] snapshot is rebuilt lazily: it survives
-/// across players (and rounds) for as long as nobody moves, and is
-/// re-snapshotted only after an applied deviation changes the state.
-pub fn run_dynamics_with(
-    game: &mut Game,
-    max_rounds: usize,
-    cache: &DeviationCache,
-    search: DeviationSearch,
-) -> DynamicsReport {
-    let start_hits = cache.stats().hits;
-    let mut applied = Vec::new();
-    let mut explored = 0;
-    let mut bound_pruned = 0;
-    let mut sources_recomputed = 0;
-    let mut sources_reweighted = 0;
-    let mut ctx: Option<EvalContext> = None;
-    for round in 1..=max_rounds {
-        let mut any = false;
-        let players: Vec<_> = game.graph().node_ids().collect();
-        for player in players {
-            if search.incremental && ctx.is_none() {
-                ctx = Some(EvalContext::new(game, &search));
-            }
-            let (dev, stats) = search_player(game, player, cache, search, ctx.as_ref());
-            explored += stats.explored;
-            bound_pruned += stats.bound_pruned;
-            sources_recomputed += stats.sources_recomputed;
-            sources_reweighted += stats.sources_reweighted;
-            if let Some(dev) = dev {
-                *game = game.deviate(player, &dev.remove, &dev.add);
-                applied.push(dev);
-                any = true;
-                ctx = None;
-            }
-        }
-        if !any {
-            return DynamicsReport {
-                converged: true,
-                rounds: round,
-                applied,
-                explored,
-                bound_pruned,
-                sources_recomputed,
-                sources_reweighted,
-                cache_hits: cache.stats().hits - start_hits,
-            };
-        }
-    }
-    DynamicsReport {
-        converged: false,
-        rounds: max_rounds,
-        applied,
-        explored,
-        bound_pruned,
-        sources_recomputed,
-        sources_reweighted,
-        cache_hits: cache.stats().hits - start_hits,
-    }
 }
 
 impl NashAnalyzer {
     /// Runs best-response dynamics in place under this analyzer's search
-    /// knobs and shared cache, so a [`NashAnalyzer::check`] right after a
-    /// converged run answers the final round from the memo.
+    /// knobs, mutating `game` toward a stable state.
+    ///
+    /// Each round iterates players in id order; a player with a strictly
+    /// profitable deviation applies the *best* one immediately (sequential
+    /// better-response with exact best responses). Stops after a
+    /// deviation-free round (convergence: the state is then a verified
+    /// Nash equilibrium) or after `max_rounds`.
+    ///
+    /// The incremental [`EvalContext`] snapshot survives across players
+    /// (and rounds) for as long as nobody moves, and is re-snapshotted
+    /// only after an applied deviation changes the state.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lcg_equilibria::game::{Game, GameParams};
+    /// use lcg_equilibria::nash::NashAnalyzer;
+    ///
+    /// let params = GameParams { zipf_s: 10.0, a: 0.1, b: 0.1, link_cost: 1.0,
+    ///                           ..GameParams::default() };
+    /// let mut game = Game::path(4, params);
+    /// let report = NashAnalyzer::new().run_dynamics(&mut game, 20);
+    /// assert!(report.converged);
+    /// ```
     pub fn run_dynamics(&self, game: &mut Game, max_rounds: usize) -> DynamicsReport {
-        run_dynamics_with(game, max_rounds, self.cache(), self.search())
+        let search = self.search();
+        let mut applied = Vec::new();
+        let mut stats = SearchStats::default();
+        let mut ctx: Option<EvalContext> = None;
+        let (mut rounds, mut converged) = (0, false);
+        while !converged && rounds < max_rounds {
+            rounds += 1;
+            converged = true;
+            let players: Vec<_> = game.graph().node_ids().collect();
+            for player in players {
+                if search.incremental && ctx.is_none() {
+                    ctx = Some(EvalContext::new(game, &search));
+                }
+                let (dev, player_stats) = search_player(game, player, search, ctx.as_ref());
+                stats.absorb(player_stats);
+                if let Some(dev) = dev {
+                    *game = game.deviate(player, &dev.remove, &dev.add);
+                    applied.push(dev);
+                    converged = false;
+                    ctx = None;
+                }
+            }
+        }
+        DynamicsReport {
+            converged,
+            rounds,
+            applied,
+            explored: stats.explored,
+            bound_pruned: stats.bound_pruned,
+            sources_recomputed: stats.sources_recomputed,
+            sources_reweighted: stats.sources_reweighted,
+        }
     }
 }
 
@@ -154,6 +103,7 @@ impl NashAnalyzer {
 mod tests {
     use super::*;
     use crate::game::GameParams;
+    use crate::nash::DeviationSearch;
 
     #[test]
     fn converged_dynamics_end_in_equilibrium() {
@@ -183,7 +133,7 @@ mod tests {
             ..GameParams::default()
         };
         let mut game = Game::star(5, params);
-        let report = run_dynamics(&mut game, 10);
+        let report = NashAnalyzer::new().run_dynamics(&mut game, 10);
         assert!(report.converged);
         assert!(report.applied.is_empty());
         assert_eq!(report.rounds, 1);
@@ -192,7 +142,7 @@ mod tests {
     #[test]
     fn path_moves_at_least_once() {
         let mut game = Game::path(5, GameParams::default());
-        let report = run_dynamics(&mut game, 10);
+        let report = NashAnalyzer::new().run_dynamics(&mut game, 10);
         assert!(!report.applied.is_empty(), "Thm 10: path must move");
     }
 
@@ -203,7 +153,7 @@ mod tests {
             ..GameParams::default()
         };
         let mut game = Game::circle(7, params);
-        let report = run_dynamics(&mut game, 2);
+        let report = NashAnalyzer::new().run_dynamics(&mut game, 2);
         assert!(report.rounds <= 2);
     }
 
@@ -218,18 +168,10 @@ mod tests {
         };
         let mut accelerated = Game::path(4, params);
         let mut reference = Game::path(4, params);
-        let fast = run_dynamics_with(
-            &mut accelerated,
-            15,
-            &DeviationCache::new(),
-            DeviationSearch::default(),
-        );
-        let slow = run_dynamics_with(
-            &mut reference,
-            15,
-            &DeviationCache::new(),
-            DeviationSearch::exhaustive(),
-        );
+        let fast = NashAnalyzer::with_search(DeviationSearch::default())
+            .run_dynamics(&mut accelerated, 15);
+        let slow = NashAnalyzer::with_search(DeviationSearch::exhaustive())
+            .run_dynamics(&mut reference, 15);
         assert_eq!(fast.converged, slow.converged);
         assert_eq!(fast.rounds, slow.rounds);
         assert_eq!(fast.applied, slow.applied);

@@ -287,8 +287,7 @@ impl Game {
     /// Canonical fingerprint of the state: every undirected channel as
     /// `(min endpoint, max endpoint, owner)` — `u32::MAX` for ownerless
     /// channels — sorted. Two games over the same player set and params
-    /// are strategically identical iff their fingerprints are equal, which
-    /// is what the deviation cache keys on.
+    /// are strategically identical iff their fingerprints are equal.
     pub fn canonical_channels(&self) -> Vec<(u32, u32, u32)> {
         let mut out: Vec<(u32, u32, u32)> = self
             .graph

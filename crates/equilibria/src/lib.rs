@@ -16,6 +16,8 @@
 //!   admissible utility upper bound and evaluated through the edge-delta
 //!   incremental engine; both accelerations are verdict-preserving and
 //!   individually opt-out via [`nash::DeviationSearch`].
+//!   [`nash::NashAnalyzer`] is the one entry point: it owns the search
+//!   knobs and memoizes nothing, so one analyzer serves any game.
 //! * [`theorems`] — the closed-form predicates of Thm 6 (hub-path bound),
 //!   Thm 7/8/9 (star), and Thm 11 (circle crossover estimates), so
 //!   experiments can compare prediction against mechanized ground truth.
@@ -23,8 +25,9 @@
 //!   cost model as a solution concept; extension).
 //! * [`welfare`] — social welfare and price-of-anarchy accounting
 //!   (extension).
-//! * [`best_response`] — iterated best-response dynamics (extension): if
-//!   it converges, the result is a certified equilibrium.
+//! * [`best_response`] — iterated best-response dynamics (extension),
+//!   run by [`NashAnalyzer::run_dynamics`](nash::NashAnalyzer::run_dynamics):
+//!   if it converges, the result is a certified equilibrium.
 //!
 //! # Quick start
 //!
@@ -48,4 +51,4 @@ pub mod theorems;
 pub mod welfare;
 
 pub use game::{Game, GameParams};
-pub use nash::{Deviation, DeviationCache, DeviationSearch, NashAnalyzer, NashReport, SearchStats};
+pub use nash::{Deviation, DeviationSearch, NashAnalyzer, NashReport, SearchStats};

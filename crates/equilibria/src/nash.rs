@@ -26,7 +26,7 @@
 //!   surviving incumbent — and hence the verdict — is identical to the
 //!   exhaustive walk's.
 //! * **Incremental evaluation.** Each candidate graph differs from the
-//!   current state by a handful of one player's channels, so cache-miss
+//!   current state by a handful of one player's channels, so candidate
 //!   utilities are answered by
 //!   [`DeltaRevenueOracle`](lcg_core::delta_eval::DeltaRevenueOracle)
 //!   instead of a from-scratch Brandes pass; only affected sources pay a
@@ -37,15 +37,12 @@
 
 use crate::game::Game;
 use lcg_core::delta_eval::DeltaRevenueOracle;
-use lcg_core::eval_cache::EvalCacheStats;
+use lcg_core::exhaustive::binomial;
 use lcg_core::rates::TransactionModel;
 use lcg_core::zipf::{generalized_harmonic, ZipfVariant};
 use lcg_graph::edge_delta::EdgeDelta;
 use lcg_graph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// A profitable unilateral deviation found by the checker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,16 +81,13 @@ pub struct NashReport {
     #[serde(default)]
     pub bound_pruned: u64,
     /// Brandes source recomputations (BFS + dependency kernel) paid for
-    /// cache-miss utility evaluations across all players.
+    /// utility evaluations across all players.
     #[serde(default)]
     pub sources_recomputed: u64,
     /// Sources that kept their cached shortest-path tree and only re-ran
     /// the dependency kernel under a changed Zipf weight row.
     #[serde(default)]
     pub sources_reweighted: u64,
-    /// Utility lookups answered from the deviation cache (non-zero when
-    /// the caller shares a cache across checks, e.g. after dynamics).
-    pub cache_hits: u64,
 }
 
 impl NashReport {
@@ -106,110 +100,6 @@ impl NashReport {
     /// Fraction of candidates skipped wholesale by the class bound.
     pub fn pruned_fraction(&self) -> f64 {
         lcg_obs::stats::part_of_total(self.bound_pruned, self.explored)
-    }
-}
-
-/// Memo from `(player, game state)` to utility, shared across deviation
-/// enumerations. The same states recur constantly — best-response rounds
-/// re-explore every non-moving player's neighborhood, and a converged
-/// run's final round repeats the previous one verbatim — so the memo
-/// turns those repeats into hash lookups. Thread-safe: the parallel
-/// per-player checks share one cache by reference.
-///
-/// A cache is only valid for games over one player set and one
-/// [`GameParams`](crate::game::GameParams); sharing it across different
-/// games returns stale utilities.
-///
-/// Keys are `(player id, canonical channel list)` state fingerprints.
-#[derive(Debug)]
-pub struct DeviationCache {
-    map: Mutex<HashMap<StateKey, f64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    capacity: usize,
-}
-
-/// `(player id, canonical channel list)` — a game-state fingerprint.
-type StateKey = (u32, Vec<(u32, u32, u32)>);
-
-impl Default for DeviationCache {
-    fn default() -> Self {
-        DeviationCache::with_capacity(1 << 18)
-    }
-}
-
-impl DeviationCache {
-    /// An empty cache (default capacity bound).
-    pub fn new() -> Self {
-        DeviationCache::default()
-    }
-
-    /// An empty cache bounded to `capacity` resident states.
-    pub fn with_capacity(capacity: usize) -> Self {
-        DeviationCache {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            capacity,
-        }
-    }
-
-    /// `player`'s utility in `game`, memoized on the state fingerprint.
-    pub fn utility_of(&self, game: &Game, player: NodeId) -> f64 {
-        self.utility_of_with(game, player, || game.utility(player))
-            .0
-    }
-
-    /// [`DeviationCache::utility_of`] with a caller-supplied computation
-    /// for misses — `compute` must return exactly `game.utility(player)`
-    /// (the incremental oracle's bit-identity guarantee makes it a valid
-    /// substitute). Returns `(utility, true)` when `compute` ran.
-    pub fn utility_of_with<F: FnOnce() -> f64>(
-        &self,
-        game: &Game,
-        player: NodeId,
-        compute: F,
-    ) -> (f64, bool) {
-        let key = (player.index() as u32, game.canonical_channels());
-        let found = self
-            .map
-            .lock()
-            .expect("deviation cache poisoned")
-            .get(&key)
-            .copied();
-        if let Some(value) = found {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if lcg_obs::enabled() {
-                lcg_obs::counter!("equilibria/deviation_cache/hits").inc();
-            }
-            return (value, false);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if lcg_obs::enabled() {
-            lcg_obs::counter!("equilibria/deviation_cache/misses").inc();
-        }
-        let value = compute();
-        let mut map = self.map.lock().expect("deviation cache poisoned");
-        if map.len() < self.capacity || map.contains_key(&key) {
-            map.insert(key, value);
-        }
-        (value, true)
-    }
-
-    /// Current counters (entries = resident states).
-    pub fn stats(&self) -> EvalCacheStats {
-        EvalCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().expect("deviation cache poisoned").len(),
-        }
-    }
-
-    /// Drops every entry and zeroes the counters.
-    pub fn clear(&self) {
-        self.map.lock().expect("deviation cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -231,7 +121,7 @@ pub struct DeviationSearch {
     /// upper bound cannot beat the incumbent (counted in
     /// [`NashReport::bound_pruned`]).
     pub bound_pruning: bool,
-    /// Answer cache-miss utilities through the edge-delta engine instead
+    /// Answer candidate utilities through the edge-delta engine instead
     /// of from-scratch Brandes.
     pub incremental: bool,
     /// Affected-source fraction above which the engine abandons pruning
@@ -269,14 +159,14 @@ pub struct SearchStats {
     pub explored: u64,
     /// Candidates skipped by the class-level upper bound.
     pub bound_pruned: u64,
-    /// BFS + dependency-kernel passes paid on cache misses.
+    /// BFS + dependency-kernel passes paid on utility evaluations.
     pub sources_recomputed: u64,
     /// Kernel-only passes over cached trees (changed Zipf rows).
     pub sources_reweighted: u64,
 }
 
 impl SearchStats {
-    fn absorb(&mut self, other: SearchStats) {
+    pub(crate) fn absorb(&mut self, other: SearchStats) {
         self.explored += other.explored;
         self.bound_pruned += other.bound_pruned;
         self.sources_recomputed += other.sources_recomputed;
@@ -352,20 +242,6 @@ fn gather<T: Copy>(items: &[T], mask: u64) -> Vec<T> {
         .filter(|i| mask & (1 << i) != 0)
         .map(|i| items[i])
         .collect()
-}
-
-/// Exact `C(n, k)` (intermediates in `u128`; every prefix product of the
-/// multiplicative formula is an integer).
-fn binomial(n: usize, k: usize) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut c: u128 = 1;
-    for i in 0..k {
-        c = c * (n - i) as u128 / (i as u128 + 1);
-    }
-    c as u64
 }
 
 /// The utility a candidate must strictly exceed (by [`GAIN_EPSILON`]) to
@@ -552,7 +428,6 @@ impl UtilityBound {
 pub(crate) fn search_player(
     game: &Game,
     player: NodeId,
-    cache: &DeviationCache,
     search: DeviationSearch,
     ctx: Option<&EvalContext>,
 ) -> (Option<Deviation>, SearchStats) {
@@ -582,31 +457,20 @@ pub(crate) fn search_player(
 
     let n_live = game.graph().node_count() as u64;
     let mut stats = SearchStats::default();
-    // Utility lookup: cache first, then either the delta oracle (bit-
-    // identical to `Game::utility`) or the from-scratch path, with the
-    // Brandes work actually paid recorded either way.
+    // Utility of one state: the delta oracle (bit-identical to
+    // `Game::utility`) or the from-scratch path, with the Brandes work
+    // paid recorded either way.
     let evaluate = |deviated: &Game, delta: &EdgeDelta, stats: &mut SearchStats| -> f64 {
         match ctx {
             Some(c) => {
-                let mut recomputed = 0usize;
-                let mut reweighted = 0usize;
-                let (value, _) = cache.utility_of_with(deviated, player, || {
-                    let (utility, qs) = deviated.utility_via(player, c.oracle(), delta);
-                    recomputed = qs.recomputed_sources;
-                    reweighted = qs.reweighted_sources;
-                    utility
-                });
-                stats.sources_recomputed += recomputed as u64;
-                stats.sources_reweighted += reweighted as u64;
-                value
+                let (utility, qs) = deviated.utility_via(player, c.oracle(), delta);
+                stats.sources_recomputed += qs.recomputed_sources as u64;
+                stats.sources_reweighted += qs.reweighted_sources as u64;
+                utility
             }
             None => {
-                let (value, computed) =
-                    cache.utility_of_with(deviated, player, || deviated.utility(player));
-                if computed {
-                    stats.sources_recomputed += n_live;
-                }
-                value
+                stats.sources_recomputed += n_live;
+                deviated.utility(player)
             }
         }
     };
@@ -619,7 +483,10 @@ pub(crate) fn search_player(
         .node_ids()
         .filter(|&v| v != player && !neighbors.contains(&v))
         .collect();
-    assert!(owned.len() < 64, "subset enumeration bounded to 63 items");
+    assert!(
+        owned.len() < 64 && addable.len() < 64,
+        "subset enumeration bounded to 63 items"
+    );
 
     let bound = if search.bound_pruning {
         UtilityBound::new(game, player)
@@ -632,7 +499,8 @@ pub(crate) fn search_player(
         let remove = gather(&owned, r_mask);
         for k in 0..=addable.len() {
             if bound.enabled {
-                let class = binomial(addable.len(), k) - u64::from(r_mask == 0 && k == 0);
+                let class = binomial(addable.len() as u128, k as u128) as u64
+                    - u64::from(r_mask == 0 && k == 0);
                 if class > 0 {
                     if let Some(threshold) = prune_threshold(before, &best) {
                         if bound.upper_bound(&remove, k, owned.len()) <= threshold + GAIN_EPSILON {
@@ -683,68 +551,12 @@ pub(crate) fn search_player(
     (best, stats)
 }
 
-/// The whole-game equilibrium check behind [`NashAnalyzer::check`].
+/// The single entry point for deviation search, equilibrium checking and
+/// best-response dynamics.
 ///
-/// One [`EvalContext`] snapshot of the current state is shared across all
-/// players. Players deviate independently, so each player's enumeration
-/// fans out to its own core; results come back in player order and are
-/// folded sequentially, so the report — counters included — is identical
-/// at any thread count.
-pub(crate) fn check_impl(
-    game: &Game,
-    cache: &DeviationCache,
-    search: DeviationSearch,
-) -> NashReport {
-    let mut check_span = lcg_obs::span::span("equilibria/check");
-    check_span.field_u64("players", game.graph().node_count() as u64);
-    let start_hits = cache.stats().hits;
-    let ctx = search.incremental.then(|| EvalContext::new(game, &search));
-    let players: Vec<NodeId> = game.graph().node_ids().collect();
-    let check_player = |&player: &NodeId| search_player(game, player, cache, search, ctx.as_ref());
-    let per_player = lcg_parallel::par_map(&players, check_player);
-
-    let mut deviations = Vec::new();
-    let mut stats = SearchStats::default();
-    for (dev, player_stats) in per_player {
-        stats.absorb(player_stats);
-        if let Some(dev) = dev {
-            deviations.push(dev);
-        }
-    }
-    let report = NashReport {
-        is_equilibrium: deviations.is_empty(),
-        deviations,
-        explored: stats.explored,
-        bound_pruned: stats.bound_pruned,
-        sources_recomputed: stats.sources_recomputed,
-        sources_reweighted: stats.sources_reweighted,
-        cache_hits: cache.stats().hits - start_hits,
-    };
-    // Mirror the report counters into the global registry so RunReports
-    // aggregate deviation-search effort across every check in a run.
-    if check_span.is_recording() {
-        check_span.field_bool("is_equilibrium", report.is_equilibrium);
-        lcg_obs::counter!("equilibria/checks").inc();
-        lcg_obs::counter!("equilibria/explored").add(report.explored);
-        lcg_obs::counter!("equilibria/bound_pruned").add(report.bound_pruned);
-        lcg_obs::counter!("equilibria/sources_recomputed").add(report.sources_recomputed);
-        lcg_obs::counter!("equilibria/sources_reweighted").add(report.sources_reweighted);
-    }
-    report
-}
-
-/// The single entry point for deviation search and equilibrium checking.
-///
-/// Owns the [`DeviationSearch`] knobs and a [`DeviationCache`], so the
-/// wiring that used to be spread across the
-/// `best_deviation`/`_cached`/`_with` and `check_equilibrium`/`_cached`/
-/// `_with` triplets collapses into one value: build an analyzer, reuse it
-/// across checks, and every repeated `(player, state)` utility is a hash
-/// lookup. The shared [`EvalContext`] snapshot is managed internally.
-///
-/// An analyzer is only valid for games over one player set and one
-/// [`GameParams`](crate::game::GameParams) — the same caveat as
-/// [`DeviationCache`].
+/// Owns the [`DeviationSearch`] knobs and nothing else, so one analyzer
+/// serves any game: every check evaluates its candidates afresh. The
+/// shared [`EvalContext`] snapshot is managed internally.
 ///
 /// # Examples
 ///
@@ -762,22 +574,17 @@ pub(crate) fn check_impl(
 #[derive(Debug, Default)]
 pub struct NashAnalyzer {
     search: DeviationSearch,
-    cache: DeviationCache,
 }
 
 impl NashAnalyzer {
-    /// An analyzer with the default (fully accelerated) search and a
-    /// fresh cache.
+    /// An analyzer with the default (fully accelerated) search.
     pub fn new() -> Self {
         NashAnalyzer::default()
     }
 
     /// An analyzer under explicit [`DeviationSearch`] knobs.
     pub fn with_search(search: DeviationSearch) -> Self {
-        NashAnalyzer {
-            search,
-            cache: DeviationCache::new(),
-        }
+        NashAnalyzer { search }
     }
 
     /// The unaccelerated reference analyzer (exhaustive enumeration,
@@ -791,11 +598,6 @@ impl NashAnalyzer {
         self.search
     }
 
-    /// The utility memo shared by every check this analyzer runs.
-    pub fn cache(&self) -> &DeviationCache {
-        &self.cache
-    }
-
     /// Finds the best unilateral deviation of `player`, if any strictly
     /// profitable one exists.
     ///
@@ -805,18 +607,53 @@ impl NashAnalyzer {
     /// excluded) — up to `2^owned · 2^addable` candidates, minus whatever
     /// the configured [`DeviationSearch`] prunes.
     pub fn best_deviation(&self, game: &Game, player: NodeId) -> (Option<Deviation>, SearchStats) {
-        search_player(game, player, &self.cache, self.search, None)
+        search_player(game, player, self.search, None)
     }
 
     /// Checks whether the current game state is a (pure) Nash
     /// equilibrium.
     ///
-    /// Within a single check every `(player, state)` pair is distinct, so
-    /// the cache pays off across calls: a check right after converged
-    /// dynamics (or a repeated check) re-walks states the previous pass
-    /// explored and answers them from the memo.
+    /// One [`EvalContext`] snapshot of the current state is shared across
+    /// all players. Players deviate independently, so each player's
+    /// enumeration fans out to its own core; results come back in player
+    /// order and are folded sequentially, so the report — counters
+    /// included — is identical at any thread count.
     pub fn check(&self, game: &Game) -> NashReport {
-        check_impl(game, &self.cache, self.search)
+        let search = self.search;
+        let mut check_span = lcg_obs::span::span("equilibria/check");
+        check_span.field_u64("players", game.graph().node_count() as u64);
+        let ctx = search.incremental.then(|| EvalContext::new(game, &search));
+        let players: Vec<NodeId> = game.graph().node_ids().collect();
+        let check_player = |&player: &NodeId| search_player(game, player, search, ctx.as_ref());
+        let per_player = lcg_parallel::par_map(&players, check_player);
+
+        let mut deviations = Vec::new();
+        let mut stats = SearchStats::default();
+        for (dev, player_stats) in per_player {
+            stats.absorb(player_stats);
+            if let Some(dev) = dev {
+                deviations.push(dev);
+            }
+        }
+        let report = NashReport {
+            is_equilibrium: deviations.is_empty(),
+            deviations,
+            explored: stats.explored,
+            bound_pruned: stats.bound_pruned,
+            sources_recomputed: stats.sources_recomputed,
+            sources_reweighted: stats.sources_reweighted,
+        };
+        // Mirror the report counters into the global registry so RunReports
+        // aggregate deviation-search effort across every check in a run.
+        if check_span.is_recording() {
+            check_span.field_bool("is_equilibrium", report.is_equilibrium);
+            lcg_obs::counter!("equilibria/checks").inc();
+            lcg_obs::counter!("equilibria/explored").add(report.explored);
+            lcg_obs::counter!("equilibria/bound_pruned").add(report.bound_pruned);
+            lcg_obs::counter!("equilibria/sources_recomputed").add(report.sources_recomputed);
+            lcg_obs::counter!("equilibria/sources_reweighted").add(report.sources_reweighted);
+        }
+        report
     }
 }
 
@@ -945,7 +782,11 @@ mod tests {
         let mut seen = Vec::new();
         for k in 0..=n {
             let masks: Vec<u64> = sized_masks(n, k).collect();
-            assert_eq!(masks.len() as u64, binomial(n, k), "k = {k}");
+            assert_eq!(
+                masks.len() as u128,
+                binomial(n as u128, k as u128),
+                "k = {k}"
+            );
             assert!(masks.windows(2).all(|w| w[0] < w[1]), "ascending at {k}");
             assert!(masks.iter().all(|m| m.count_ones() as usize == k));
             seen.extend(masks);
@@ -954,21 +795,6 @@ mod tests {
         assert_eq!(seen, (0..1u64 << n).collect::<Vec<_>>());
         assert_eq!(sized_masks(3, 4).count(), 0);
         assert_eq!(sized_masks(0, 0).collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn binomial_matches_pascal() {
-        for n in 0..20usize {
-            for k in 0..=n {
-                let pascal = if k == 0 || k == n {
-                    1
-                } else {
-                    binomial(n - 1, k - 1) + binomial(n - 1, k)
-                };
-                assert_eq!(binomial(n, k), pascal, "C({n}, {k})");
-            }
-        }
-        assert_eq!(binomial(63, 31), 916_312_070_471_295_267);
     }
 
     #[test]

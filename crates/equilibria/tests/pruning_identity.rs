@@ -2,7 +2,8 @@
 //! Thm 7–11 parameter grid, the pruned + incremental search must return
 //! the same verdict and the same (bit-identical) deviations as the
 //! exhaustive reference walk, and its counters must account for every
-//! candidate the reference evaluates.
+//! candidate the reference evaluates. An analyzer reused across games
+//! must answer each one as a fresh analyzer would.
 
 use lcg_equilibria::game::{Game, GameParams};
 use lcg_equilibria::nash::{Deviation, DeviationSearch, NashAnalyzer};
@@ -101,19 +102,7 @@ fn each_acceleration_is_independently_identical() {
     let slice = [
         ("star", Game::star(5, stable_star_params())),
         ("path", Game::path(5, GameParams::default())),
-        (
-            "circle",
-            Game::circle(
-                5,
-                GameParams {
-                    zipf_s: 0.5,
-                    a: 1.0,
-                    b: 1.0,
-                    link_cost: 0.01,
-                    ..GameParams::default()
-                },
-            ),
-        ),
+        ("circle", Game::circle(5, cheap_link_params())),
     ];
     let configs = [
         DeviationSearch {
@@ -150,27 +139,87 @@ fn each_acceleration_is_independently_identical() {
 
 #[test]
 fn stable_star_regime_prunes_aggressively() {
-    // The acceptance regime of the deviation-scaling bench: a Thm 7 stable
-    // star at high Zipf bias. The bound should eliminate the vast majority
-    // of each leaf's 2 · 2^(n−2) candidates, and the incremental engine
-    // should answer the surviving ones without full Brandes passes.
-    let game = Game::star(10, stable_star_params());
-    let exhaustive = NashAnalyzer::exhaustive().check(&game);
-    let pruned = NashAnalyzer::new().check(&game);
-    assert!(pruned.is_equilibrium);
-    assert!(exhaustive.is_equilibrium);
-    assert!(
-        pruned.explored * 5 <= exhaustive.explored,
-        "expected ≥5× fewer evaluations: {} vs {}",
-        pruned.explored,
-        exhaustive.explored
-    );
-    assert!(
-        pruned.sources_recomputed * 5 <= exhaustive.sources_recomputed,
-        "expected ≥5× fewer Brandes source recomputations: {} vs {}",
-        pruned.sources_recomputed,
-        exhaustive.sources_recomputed
-    );
+    // A Thm 7 stable star at high Zipf bias, head to head with the
+    // exhaustive walk at n = 6, 8 and 10. The bound should eliminate the
+    // vast majority of each leaf's 2 · 2^(n−2) candidates, and the
+    // incremental engine should answer the surviving ones without full
+    // Brandes passes.
+    for n in [6usize, 8, 10] {
+        let label = format!("star n={n}");
+        let game = Game::star(n, stable_star_params());
+        let exhaustive = NashAnalyzer::exhaustive().check(&game);
+        let pruned = NashAnalyzer::new().check(&game);
+        assert_eq!(
+            pruned.is_equilibrium, exhaustive.is_equilibrium,
+            "{label}: verdict"
+        );
+        assert_same_deviations(&label, &pruned.deviations, &exhaustive.deviations);
+        assert_eq!(
+            pruned.explored + pruned.bound_pruned,
+            exhaustive.explored,
+            "{label}: candidate accounting"
+        );
+        if n != 10 {
+            continue;
+        }
+        assert!(pruned.is_equilibrium);
+        assert!(exhaustive.is_equilibrium);
+        assert!(
+            pruned.explored * 5 <= exhaustive.explored,
+            "expected ≥5× fewer evaluations: {} vs {}",
+            pruned.explored,
+            exhaustive.explored
+        );
+        assert!(
+            pruned.sources_recomputed * 5 <= exhaustive.sources_recomputed,
+            "expected ≥5× fewer Brandes source recomputations: {} vs {}",
+            pruned.sources_recomputed,
+            exhaustive.sources_recomputed
+        );
+    }
+}
+
+#[test]
+fn one_analyzer_serves_games_with_different_parameters() {
+    // The same star under two parameter sets, checked by one analyzer in
+    // either order: the second report must equal a fresh analyzer's.
+    let stable = Game::star(5, stable_star_params());
+    let cheap = Game::star(5, cheap_link_params());
+    for make in [
+        NashAnalyzer::new as fn() -> NashAnalyzer,
+        NashAnalyzer::exhaustive,
+    ] {
+        for (first, second, order) in [
+            (&stable, &cheap, "stable then cheap"),
+            (&cheap, &stable, "cheap then stable"),
+        ] {
+            let label = format!("{:?}, {order}", make().search());
+            let analyzer = make();
+            analyzer.check(first);
+            let reused = analyzer.check(second);
+            let fresh = make().check(second);
+            assert_eq!(
+                reused.is_equilibrium, fresh.is_equilibrium,
+                "{label}: verdict"
+            );
+            assert_same_deviations(&label, &reused.deviations, &fresh.deviations);
+            assert_eq!(reused.explored, fresh.explored, "{label}: explored");
+            assert_eq!(
+                reused.bound_pruned, fresh.bound_pruned,
+                "{label}: bound_pruned"
+            );
+        }
+    }
+}
+
+fn cheap_link_params() -> GameParams {
+    GameParams {
+        zipf_s: 0.5,
+        a: 1.0,
+        b: 1.0,
+        link_cost: 0.01,
+        ..GameParams::default()
+    }
 }
 
 fn stable_star_params() -> GameParams {

@@ -1,14 +1,12 @@
-//! Incremental weighted node betweenness for single-node augmentations.
+//! Incremental weighted betweenness of a new node joining a fixed host.
 //!
-//! Every expensive operation in this reproduction — Algorithm 1/2
-//! candidate scoring, Nash deviation enumeration, best-response dynamics —
-//! reduces to weighted Brandes betweenness recomputed from scratch on an
-//! *augmented* graph that differs from the host by exactly one node `u`
-//! and a handful of channels. [`IncrementalBetweenness`] snapshots the
-//! host's per-source BFS trees once and then answers
-//! "betweenness on `host + {u, channels(u)}`" by recomputing only the
-//! sources whose shortest-path structure the new node can actually
-//! change.
+//! Algorithm 1/2 candidate scoring asks for the weighted Brandes
+//! betweenness of a new node `u` on an *augmented* graph that differs
+//! from the host by exactly `u` and a handful of channels.
+//! [`IncrementalBetweenness`] snapshots the host's per-source BFS trees
+//! once and then answers "`u`'s betweenness on `host + {u, channels(u)}`"
+//! by recomputing only the sources whose shortest-path structure the new
+//! node can actually change.
 //!
 //! ## The affected-source condition
 //!
@@ -30,21 +28,21 @@
 //! appear and `σ` grows; when the minima are realized by the same `t` the
 //! triangle inequality gives `a + 2 + b ≥ d + 2`, so the condition can
 //! only trigger through a genuine simple path.) The test is *exact*: no
-//! false positives, no false negatives. Unaffected sources contribute to
-//! the augmented betweenness exactly what they contribute to the host's,
-//! so their dependency vectors are replayed from the snapshot.
+//! false positives, no false negatives. An unaffected source has no
+//! shortest path through `u`, so its share of `u`'s score is exactly
+//! `+0.0` and it is skipped.
 //!
 //! ## Bit-identity
 //!
-//! Results are guaranteed bit-identical to
+//! The new node's score is guaranteed bit-identical to its entry of
 //! [`weighted_node_betweenness`](crate::betweenness::weighted_node_betweenness)
 //! on the augmented graph, not merely numerically close:
 //!
-//! * affected sources (and the new node itself) are recomputed with the
-//!   *same* kernel ([`node_dependencies`]) on the same augmented graph;
-//! * unaffected sources replay cached dependency vectors that are
-//!   bit-equal to what the from-scratch kernel would produce (the new
-//!   node only ever adds exact `+0.0` terms to their accumulation);
+//! * affected sources are recomputed with the *same* kernel
+//!   ([`node_dependencies`](crate::betweenness::node_dependencies)) on
+//!   the same augmented graph;
+//! * unaffected sources and the new node itself add exact `+0.0` terms
+//!   to the new node's score, so skipping them changes no bit;
 //! * partial sums keep the exact [`SOURCE_CHUNK`] boundaries and chunk
 //!   order of the from-scratch reduction.
 //!
@@ -52,18 +50,13 @@
 //! satisfies: pair weights are **non-negative** and pairs involving the
 //! new node weigh **zero** (`p_trans` covers host pairs only).
 //!
-//! When the pruning condition fails to exclude enough sources — or the
-//! query is degenerate (no live targets, empty host) — the engine falls
-//! back to the existing full Brandes path, which is bit-identical by
-//! construction.
+//! A host with no live node has nothing to prune; that query runs the
+//! full Brandes path, which is bit-identical by construction.
 
-use crate::betweenness::{
-    node_dependencies, weighted_node_betweenness, NodeScores, SourceBuffers, SOURCE_CHUNK,
-};
+use crate::betweenness::{weighted_node_betweenness, SourceBuffers, SOURCE_CHUNK};
 use crate::bfs::{bfs, BfsTree};
 use crate::graph::{DiGraph, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Distance sentinel for "unreachable" in the pruning arithmetic.
 const INF: u64 = u64::MAX / 4;
@@ -74,9 +67,10 @@ pub struct QueryStats {
     /// Sources whose dependency trees had to be recomputed (excluding the
     /// new node itself).
     pub recomputed_sources: usize,
-    /// Sources replayed from the snapshot.
+    /// Unaffected sources, skipped.
     pub cached_sources: usize,
-    /// `true` if the query bypassed pruning and ran full Brandes.
+    /// `true` if the query ran full Brandes (only on a host with no live
+    /// node).
     pub fell_back: bool,
 }
 
@@ -97,9 +91,9 @@ pub struct IncrementalStats {
     /// Total sources recomputed with the full kernel. Fallback queries
     /// count every live source plus the new node.
     pub recomputed_sources: u64,
-    /// Total sources replayed from the snapshot.
+    /// Total unaffected sources skipped.
     pub cached_sources: u64,
-    /// Queries that bypassed pruning entirely.
+    /// Queries that ran full Brandes (hosts with no live node).
     pub fallbacks: u64,
 }
 
@@ -110,7 +104,7 @@ impl IncrementalStats {
     }
 }
 
-/// Incremental evaluator of weighted node betweenness on
+/// Incremental evaluator of the new node's weighted betweenness on
 /// `host + {u, channels(u)}` augmentations.
 ///
 /// Built once per (host, weight) pair; each query names only the host
@@ -127,11 +121,11 @@ impl IncrementalStats {
 /// let host = generators::star(5);
 /// let engine = IncrementalBetweenness::new(&host, |_, _| 1.0);
 /// let targets = [NodeId(0), NodeId(2)];
-/// let (scores, _) = engine.node_betweenness(&targets);
+/// let (score, _) = engine.new_node_score(&targets);
 /// let full = weighted_node_betweenness(&engine.augment(&targets), |s, r| {
 ///     engine.weight(s, r)
 /// });
-/// assert!(scores.iter().zip(&full).all(|(a, b)| a.to_bits() == b.to_bits()));
+/// assert_eq!(score.to_bits(), full[engine.new_node().index()].to_bits());
 /// ```
 #[derive(Debug)]
 pub struct IncrementalBetweenness<N = (), E = ()> {
@@ -142,11 +136,6 @@ pub struct IncrementalBetweenness<N = (), E = ()> {
     trees: Vec<Option<BfsTree>>,
     /// Live host sources in index order (the from-scratch source order).
     sources: Vec<NodeId>,
-    /// Per-source host dependency vectors (lazily built; only needed by
-    /// full-vector queries, not by the new-node fast path).
-    contributions: OnceLock<Vec<Vec<f64>>>,
-    /// Recompute everything when the affected fraction exceeds this.
-    fallback_fraction: f64,
     counters: Counters,
 }
 
@@ -192,22 +181,8 @@ where
             weight: weight_matrix,
             trees,
             sources,
-            contributions: OnceLock::new(),
-            fallback_fraction: 1.0,
             counters: Counters::default(),
         }
-    }
-
-    /// Lowers the affected-fraction threshold above which a query skips
-    /// pruning and runs the full Brandes path (default `1.0`: prune
-    /// whenever at least one source can be skipped).
-    pub fn with_fallback_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction) && !fraction.is_nan(),
-            "fallback fraction must lie in [0, 1], got {fraction}"
-        );
-        self.fallback_fraction = fraction;
-        self
     }
 
     /// The snapshotted host (without the new node).
@@ -323,27 +298,6 @@ where
         affected
     }
 
-    /// Per-source host dependency vectors, built on first use.
-    fn contributions(&self) -> &Vec<Vec<f64>> {
-        self.contributions.get_or_init(|| {
-            let run_source = |&s: &NodeId| {
-                let tree = self.trees[s.index()].as_ref().expect("live source tree");
-                let mut delta = vec![0.0; self.host.node_bound()];
-                node_dependencies(&self.host, tree, &|a, b| self.weight(a, b), &mut delta);
-                // The from-scratch reduction never adds a source's own
-                // dependency; zero it so replaying the vector is exact.
-                delta[s.index()] = 0.0;
-                delta
-            };
-            let vectors = lcg_parallel::par_map(&self.sources, run_source);
-            let mut out: Vec<Vec<f64>> = (0..self.host.node_bound()).map(|_| Vec::new()).collect();
-            for (s, v) in self.sources.iter().zip(vectors) {
-                out[s.index()] = v;
-            }
-            out
-        })
-    }
-
     fn record(&self, stats: QueryStats) {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -369,69 +323,6 @@ where
         }
     }
 
-    /// Decides between pruning and the full-Brandes fallback.
-    fn plan(&self, targets: &[NodeId]) -> (Vec<bool>, usize, bool) {
-        let affected = self.affected_sources(targets);
-        let affected_count = affected.iter().filter(|&&a| a).count();
-        let live = self.sources.len();
-        let fall_back = live == 0 || (affected_count as f64) > self.fallback_fraction * live as f64;
-        (affected, affected_count, fall_back)
-    }
-
-    /// Weighted node betweenness of the full augmented graph, plus the
-    /// query breakdown. Bit-identical to
-    /// [`weighted_node_betweenness`](crate::betweenness::weighted_node_betweenness)
-    /// over [`IncrementalBetweenness::augment`] with the same weight.
-    pub fn node_betweenness(&self, targets: &[NodeId]) -> (NodeScores, QueryStats) {
-        let aug = self.augment(targets);
-        let (affected, affected_count, fall_back) = self.plan(targets);
-        if fall_back {
-            let stats = QueryStats {
-                recomputed_sources: self.sources.len() + 1,
-                cached_sources: 0,
-                fell_back: true,
-            };
-            self.record(stats);
-            let scores = weighted_node_betweenness(&aug, |s, r| self.weight(s, r));
-            return (scores, stats);
-        }
-        let u = self.new_node();
-        let out_len = aug.node_bound();
-        let aug_sources: Vec<NodeId> = aug.node_ids().collect();
-        let contributions = self.contributions();
-        let chunks: Vec<&[NodeId]> = aug_sources.chunks(SOURCE_CHUNK).collect();
-        let run_chunk = |bufs: &mut SourceBuffers, chunk: &&[NodeId]| {
-            let mut partial = vec![0.0; out_len];
-            for &s in *chunk {
-                if s != u && !affected[s.index()] {
-                    // Replay the snapshot: bit-equal to what the kernel
-                    // would produce on the augmented graph (the new node
-                    // only contributes exact zeros for this source).
-                    for (p, c) in partial.iter_mut().zip(&contributions[s.index()]) {
-                        *p += *c;
-                    }
-                } else {
-                    let delta = bufs.recompute(&aug, s, &|a, b| self.weight(a, b));
-                    for v in aug.node_ids() {
-                        if v != s {
-                            partial[v.index()] += delta[v.index()];
-                        }
-                    }
-                }
-            }
-            partial
-        };
-        let partials = lcg_parallel::par_map_init(&chunks, SourceBuffers::default, run_chunk);
-        let scores = lcg_parallel::sum_vecs(vec![0.0; out_len], partials);
-        let stats = QueryStats {
-            recomputed_sources: affected_count + 1,
-            cached_sources: self.sources.len() - affected_count,
-            fell_back: false,
-        };
-        self.record(stats);
-        (scores, stats)
-    }
-
     /// The new node's own betweenness score — the quantity every oracle
     /// evaluation needs — computed from affected sources only.
     ///
@@ -451,10 +342,10 @@ where
     pub fn new_node_score_on(&self, aug: &DiGraph<N, E>, targets: &[NodeId]) -> (f64, QueryStats) {
         debug_assert_eq!(aug.node_bound(), self.host.node_bound() + 1);
         let u = self.new_node();
-        let (affected, affected_count, fall_back) = self.plan(targets);
-        if fall_back {
+        if self.sources.is_empty() {
+            // No live host node: nothing to prune.
             let stats = QueryStats {
-                recomputed_sources: self.sources.len() + 1,
+                recomputed_sources: 1,
                 cached_sources: 0,
                 fell_back: true,
             };
@@ -462,6 +353,8 @@ where
             let scores = weighted_node_betweenness(aug, |s, r| self.weight(s, r));
             return (scores.get(u.index()).copied().unwrap_or(0.0), stats);
         }
+        let affected = self.affected_sources(targets);
+        let affected_count = affected.iter().filter(|&&a| a).count();
         // Unaffected sources contribute exactly +0.0 to the new node, and
         // the new node (as a source) contributes nothing to itself, so
         // only affected host sources matter. Chunk boundaries follow the
@@ -501,17 +394,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn bit_eq(a: &[f64], b: &[f64]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
     fn check_host(host: &generators::Topology, targets: &[NodeId]) {
         let weight = |s: NodeId, r: NodeId| 1.0 + 0.1 * s.index() as f64 + 0.01 * r.index() as f64;
         let engine = IncrementalBetweenness::new(host, weight);
         let aug = engine.augment(targets);
         let expect = weighted_node_betweenness(&aug, |s, r| engine.weight(s, r));
-        let (scores, _) = engine.node_betweenness(targets);
-        assert!(bit_eq(&scores, &expect), "full vector diverged");
         let (score, _) = engine.new_node_score(targets);
         assert_eq!(
             score.to_bits(),
@@ -593,13 +480,14 @@ mod tests {
         // Single-node host: the only source never routes anything.
         let host = generators::path(1);
         check_host(&host, &[NodeId(0)]);
+        // Empty host: nothing to prune, so the query runs full Brandes.
+        let host = generators::Topology::new();
+        check_host(&host, &[]);
+        let engine = IncrementalBetweenness::new(&host, |_, _| 1.0);
+        assert!(engine.new_node_score(&[]).1.fell_back);
         // Empty target set: u is isolated, nothing changes.
         let host = generators::cycle(5);
-        let engine = IncrementalBetweenness::new(&host, |_, _| 1.0);
-        let (scores, stats) = engine.node_betweenness(&[]);
-        let expect = weighted_node_betweenness(&engine.augment(&[]), |s, r| engine.weight(s, r));
-        assert!(bit_eq(&scores, &expect));
-        assert_eq!(stats.recomputed_sources, 1, "only the new node runs");
+        check_host(&host, &[]);
         // Dead / out-of-range targets are skipped like the oracle does.
         check_host(&host, &[NodeId(99), NodeId(1)]);
     }
@@ -608,22 +496,6 @@ mod tests {
     fn parallel_channels_count_multiply() {
         let host = generators::path(4);
         check_host(&host, &[NodeId(1), NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn forced_fallback_is_still_bit_identical() {
-        let host = generators::cycle(7);
-        let weight = |s: NodeId, r: NodeId| 1.0 + 0.05 * (s.index() + r.index()) as f64;
-        let engine = IncrementalBetweenness::new(&host, weight).with_fallback_fraction(0.0);
-        // 0–u–3 is a length-2 shortcut across the cycle, so at least one
-        // source is affected and the zero threshold forces the fallback.
-        let targets = [NodeId(0), NodeId(3)];
-        let (scores, stats) = engine.node_betweenness(&targets);
-        assert!(stats.fell_back);
-        let expect =
-            weighted_node_betweenness(&engine.augment(&targets), |s, r| engine.weight(s, r));
-        assert!(bit_eq(&scores, &expect));
-        assert_eq!(engine.stats().fallbacks, 1);
     }
 
     #[test]

@@ -22,30 +22,14 @@ fn pair_weight(s: NodeId, r: NodeId) -> f64 {
     0.5 + ((s.index() * 31 + r.index() * 17) % 7) as f64 * 0.25
 }
 
-fn assert_bit_eq(a: &[f64], b: &[f64], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: length mismatch");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: bit divergence at index {i}: {x} vs {y}"
-        );
-    }
-}
-
-/// Full-vector and new-node-only queries must both match the from-scratch
-/// kernel on the augmented graph, bit for bit.
+/// The new-node query must match the from-scratch kernel on the
+/// augmented graph, bit for bit.
 fn check_against_full(host: &Topology, targets: &[NodeId], what: &str) {
     let engine = IncrementalBetweenness::new(host, pair_weight);
     let aug = engine.augment(targets);
     let expect = weighted_node_betweenness(&aug, |s, r| engine.weight(s, r));
-    let (scores, stats) = engine.node_betweenness(targets);
-    assert_bit_eq(&scores, &expect, what);
-    assert!(
-        !stats.fell_back,
-        "{what}: default threshold never falls back"
-    );
-    let (score, _) = engine.new_node_score(targets);
+    let (score, stats) = engine.new_node_score(targets);
+    assert!(!stats.fell_back, "{what}: a live host never falls back");
     assert_eq!(
         score.to_bits(),
         expect[engine.new_node().index()].to_bits(),

@@ -6,7 +6,6 @@
 //!
 //! Run with: `cargo run --example topology_stability`
 
-use lightning_creation_games::equilibria::best_response::run_dynamics;
 use lightning_creation_games::equilibria::game::{Game, GameParams};
 use lightning_creation_games::equilibria::nash::NashAnalyzer;
 use lightning_creation_games::equilibria::theorems::{theorem8_conditions, theorem9_sufficient};
@@ -70,7 +69,7 @@ fn main() {
 
     println!("\n== best-response dynamics from the (unstable) path ==");
     let mut game = Game::path(6, params);
-    let report = run_dynamics(&mut game, 25);
+    let report = NashAnalyzer::new().run_dynamics(&mut game, 25);
     println!(
         "converged: {} after {} rounds",
         report.converged, report.rounds

@@ -4,7 +4,6 @@
 //! conditions (lcg-equilibria::theorems) against the exhaustive deviation
 //! checker (lcg-equilibria::nash) on top of the core transaction model.
 
-use lightning_creation_games::equilibria::best_response::run_dynamics;
 use lightning_creation_games::equilibria::game::{Game, GameParams};
 use lightning_creation_games::equilibria::nash::NashAnalyzer;
 use lightning_creation_games::equilibria::theorems::{
@@ -93,7 +92,7 @@ fn dynamics_from_path_reach_a_verified_equilibrium() {
         ..GameParams::default()
     };
     let mut game = Game::path(5, params);
-    let report = run_dynamics(&mut game, 30);
+    let report = NashAnalyzer::new().run_dynamics(&mut game, 30);
     assert!(!report.applied.is_empty(), "Thm 10: the path must move");
     if report.converged {
         assert!(NashAnalyzer::new().check(&game).is_equilibrium);
