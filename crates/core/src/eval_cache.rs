@@ -6,7 +6,7 @@
 //! entries, best-response dynamics re-visits deviations round after round.
 //! Since the [`UtilityOracle`](crate::utility::UtilityOracle) is
 //! deterministic given its host, model and parameters, the full
-//! [`UtilityBreakdown`](crate::utility::UtilityBreakdown) — `U`, `U'`,
+//! [`UtilityBreakdown`] — `U`, `U'`,
 //! `U^b` and every marginal gain derived from them — is a pure function of
 //! the exact action sequence. [`EvalCache`] memoizes it.
 //!

@@ -28,7 +28,7 @@
 //! * **Incremental evaluation.** Each candidate graph differs from the
 //!   current state by a handful of one player's channels, so candidate
 //!   utilities are answered by
-//!   [`DeltaRevenueOracle`](lcg_core::delta_eval::DeltaRevenueOracle)
+//!   [`DeltaRevenueOracle`]
 //!   instead of a from-scratch Brandes pass; only affected sources pay a
 //!   BFS ([`NashReport::sources_recomputed`]), senders whose recomputed
 //!   Zipf row changed re-run just the dependency kernel

@@ -58,7 +58,7 @@ impl SourceBuffers {
     where
         W: Fn(NodeId, NodeId) -> f64,
     {
-        self.tree.rerun(g, s, None, |_, _, _| true);
+        self.tree.rerun(g, s);
         self.delta.resize(g.node_bound(), 0.0);
         node_dependencies(g, &self.tree, weight, &mut self.delta);
         &self.delta
@@ -128,7 +128,7 @@ where
         let SourceBuffers { tree, delta } = bufs;
         delta.resize(g.node_bound(), 0.0);
         for &s in chunk {
-            tree.rerun(g, s, None, |_, _, _| true);
+            tree.rerun(g, s);
             for d in delta.iter_mut() {
                 *d = 0.0;
             }

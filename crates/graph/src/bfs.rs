@@ -4,18 +4,17 @@
 //! with the shortest-path length), so BFS is the workhorse metric. This
 //! module provides single-source distances with shortest-path counting (the
 //! `σ` values needed for `m(s,r)` and `m_e(s,r)` in Eq. 2), all-pairs
-//! distance matrices, connectivity checks, and the diameter used by Thm 6.
+//! distance matrices, connectivity checks, the diameter used by Thm 6, and
+//! [`PathSampler`], which draws the uniform shortest path a payment takes.
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
+use rand::Rng;
 
 /// Result of a single-source BFS: hop distances, shortest-path counts and
 /// the shortest-path predecessor DAG.
 ///
 /// Indexed by `NodeId::index()`; entries for unreachable or removed nodes
-/// hold `dist == None`, `sigma == 0`. A tree filled by a target-bounded
-/// [`BfsTree::rerun`] is exact up to the target's distance: every node at
-/// most that far from the source holds what a full [`bfs`] would give it,
-/// and every farther node reads as unreachable.
+/// hold `dist == None`, `sigma == 0`.
 #[derive(Debug, Clone)]
 pub struct BfsTree {
     /// Source node of the traversal.
@@ -68,23 +67,8 @@ impl BfsTree {
     ///
     /// Only the entries the previous run reached are reset, so a tree kept
     /// across runs on the same graph allocates nothing once its buffers
-    /// have grown. `keep(e, u, v)` is asked about each out-edge `e = u → v`
-    /// of the live graph as the traversal visits it, in ascending edge-id
-    /// order, and rejected edges are skipped: the run equals [`bfs`] on
-    /// `g.filter_edges` with the same test, without building that copy.
-    ///
-    /// With `target = Some(t)` the run stops once `t`'s layer is settled,
-    /// i.e. when every node one hop closer than `t` has been expanded. The
-    /// tree is then exact up to `t`'s distance (see [`BfsTree`]), which is
-    /// all a path from the source to `t` reads. If `t` is unreachable the
-    /// run is a full BFS.
-    pub fn rerun<N, E>(
-        &mut self,
-        g: &DiGraph<N, E>,
-        source: NodeId,
-        target: Option<NodeId>,
-        mut keep: impl FnMut(EdgeId, NodeId, NodeId) -> bool,
-    ) {
+    /// have grown.
+    pub fn rerun<N, E>(&mut self, g: &DiGraph<N, E>, source: NodeId) {
         if lcg_obs::enabled() {
             lcg_obs::counter!("graph/bfs/runs").inc();
         }
@@ -115,14 +99,6 @@ impl BfsTree {
         dist[source.index()] = Some(0);
         sigma[source.index()] = 1.0;
         order.push(source);
-        let target = target.map_or(usize::MAX, NodeId::index);
-        // Distance of the target's layer once the target is found: nodes
-        // at that distance are complete and need no expansion.
-        let mut stop = if source.index() == target {
-            0
-        } else {
-            u32::MAX
-        };
 
         // `order` doubles as the FIFO queue: nodes are appended when first
         // reached and expanded in that order from `head`.
@@ -130,24 +106,15 @@ impl BfsTree {
         while let Some(&u) = order.get(head) {
             head += 1;
             let du = dist[u.index()].expect("queued node has distance");
-            if du >= stop {
-                break;
-            }
             let su = sigma[u.index()];
             for e in g.out_edges(u) {
                 let (_, v) = g.edge_endpoints(e).expect("live out-edge");
-                if !keep(e, u, v) {
-                    continue;
-                }
                 match dist[v.index()] {
                     None => {
                         dist[v.index()] = Some(du + 1);
                         sigma[v.index()] = su;
                         pred_edges[v.index()].push(e);
                         order.push(v);
-                        if v.index() == target {
-                            stop = du + 1;
-                        }
                     }
                     Some(dv) if dv == du + 1 => {
                         sigma[v.index()] += su;
@@ -164,8 +131,7 @@ impl BfsTree {
 ///
 /// Runs in `O(n + m)`. Parallel edges each contribute separately to `sigma`
 /// (two parallel channels give two distinct paths), matching the multigraph
-/// model. This is [`BfsTree::rerun`] into a fresh tree, with no target and
-/// every edge kept.
+/// model. This is [`BfsTree::rerun`] into a fresh tree.
 ///
 /// # Examples
 ///
@@ -179,8 +145,317 @@ impl BfsTree {
 /// ```
 pub fn bfs<N, E>(g: &DiGraph<N, E>, source: NodeId) -> BfsTree {
     let mut tree = BfsTree::default();
-    tree.rerun(g, source, None, |_, _, _| true);
+    tree.rerun(g, source);
     tree
+}
+
+/// Per-node state of one [`PathSampler`] call.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Hops from the sender, [`UNSEEN`] until the forward search reaches
+    /// the node.
+    fwd: u32,
+    /// Hops to the receiver, [`UNSEEN`] until the backward search reaches
+    /// the node.
+    bwd: u32,
+    /// Index in `PathSampler::fwd_order`; read only while `fwd` is set.
+    pos: usize,
+    /// Shortest sender→node path count; read only while `fwd` is set.
+    sigma: f64,
+}
+
+/// Distance of a node a search has not reached.
+const UNSEEN: u32 = u32::MAX;
+
+impl Default for Mark {
+    fn default() -> Self {
+        Mark {
+            fwd: UNSEEN,
+            bwd: UNSEEN,
+            pos: 0,
+            sigma: 0.0,
+        }
+    }
+}
+
+/// Samples one shortest `s → r` path uniformly at random, visiting only
+/// what the sample needs.
+///
+/// [`PathSampler::sample`] returns the same path, and draws the same
+/// numbers from its RNG, as [`bfs`] over the edges `keep` accepts followed
+/// by a backward walk of that tree (`lcg_sim::network::sample_path_from_tree`).
+/// A uniform path needs `σ` only on the shortest-path DAG between `s` and
+/// `r` (Brandes' counting), so each call works in three steps:
+///
+/// 1. **Meet.** Two searches grow one whole layer at a time, forward over
+///    kept out-edges from `s` and backward over kept in-edges into `r`,
+///    whichever frontier has the smaller degree sum first. They stop when
+///    a layer reaches a node the other side has reached: at forward layer
+///    `L` and backward layer `b`, so `d(s, r) = L + b`. Forward layers
+///    `0..=L` are the reference BFS's own prefix: same nodes, same order,
+///    same `σ` bits.
+/// 2. **Extend.** Forward `σ` grows over layers `L+1..=d`, passing only
+///    through nodes whose backward distance is `d − k` at layer `k`, each
+///    layer in discovery order and each node's out-edges in ascending id.
+///    Every predecessor of a DAG node is a DAG node, so this keeps the
+///    reference's relative order within each layer and sums each `σ` in
+///    the reference's order.
+/// 3. **Walk.** From `r` back to `s`, the predecessors of each node are its
+///    kept in-edges from the previous layer, ordered by the tail's BFS
+///    position and then by edge id, as the reference lists them. Each hop
+///    draws one `gen_range(0.0..total)` over the tails' `σ`.
+///
+/// `keep(e, u, v)` is a pure test of the edge `e = u → v`: every edge the
+/// searches or the walk use passes it. Edges that cannot change the result,
+/// such as those into nodes a search has already settled, are not asked
+/// about, and the calls come in no fixed order. A call resets only the
+/// nodes the previous call reached, so one sampler kept across calls
+/// allocates nothing but the returned path once its buffers have grown.
+///
+/// # Examples
+///
+/// ```
+/// use lcg_graph::{bfs::PathSampler, generators, NodeId};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let g = generators::cycle(6);
+/// let mut sampler = PathSampler::default();
+/// let mut rng = StdRng::seed_from_u64(1);
+/// let path = sampler.sample(&g, NodeId(0), NodeId(3), |_, _, _| true, &mut rng);
+/// assert_eq!(path.map(|p| p.len()), Some(3)); // either way round
+/// ```
+#[derive(Debug, Default)]
+pub struct PathSampler {
+    marks: Vec<Mark>,
+    /// Nodes the forward search reached, layer by layer in discovery order.
+    fwd_order: Vec<NodeId>,
+    /// Nodes the backward search reached, layer by layer.
+    bwd_order: Vec<NodeId>,
+    /// One hop's predecessors as `(tail's index in fwd_order, edge)`.
+    preds: Vec<(usize, EdgeId)>,
+}
+
+impl PathSampler {
+    /// Samples a shortest `s → r` path over the edges `keep` accepts, as
+    /// its edge ids from `s`. Returns `Some(vec![])` without a draw when
+    /// `s == r` is live, and `None` when either end is not live or `r` is
+    /// unreachable.
+    pub fn sample<N, E, R: Rng + ?Sized>(
+        &mut self,
+        g: &DiGraph<N, E>,
+        s: NodeId,
+        r: NodeId,
+        keep: impl Fn(EdgeId, NodeId, NodeId) -> bool,
+        rng: &mut R,
+    ) -> Option<Vec<EdgeId>> {
+        if lcg_obs::enabled() {
+            lcg_obs::counter!("graph/bfs/runs").inc();
+        }
+        self.reset(g.node_bound());
+        if !g.contains_node(s) || !g.contains_node(r) {
+            return None;
+        }
+        if s == r {
+            return Some(Vec::new());
+        }
+        let (l, b, lo) = self.meet(g, s, r, &keep)?;
+        self.extend(g, l, l + b, lo, &keep);
+        Some(self.walk(g, s, r, l + b, &keep, rng))
+    }
+
+    /// Clears what the previous call reached and sizes the marks for `n`
+    /// nodes.
+    fn reset(&mut self, n: usize) {
+        let PathSampler {
+            marks,
+            fwd_order,
+            bwd_order,
+            ..
+        } = self;
+        for v in fwd_order.drain(..).chain(bwd_order.drain(..)) {
+            marks[v.index()] = Mark::default();
+        }
+        marks.resize(n, Mark::default());
+    }
+
+    /// Step 1: grows the cheaper frontier one layer at a time until the
+    /// searches meet. Returns the forward radius `L`, the backward radius
+    /// `b` and where forward layer `L` starts in `fwd_order`; `None` once
+    /// a frontier empties, since `r` is then unreachable.
+    fn meet<N, E>(
+        &mut self,
+        g: &DiGraph<N, E>,
+        s: NodeId,
+        r: NodeId,
+        keep: &impl Fn(EdgeId, NodeId, NodeId) -> bool,
+    ) -> Option<(u32, u32, usize)> {
+        let PathSampler {
+            marks,
+            fwd_order,
+            bwd_order,
+            ..
+        } = self;
+        marks[s.index()] = Mark {
+            fwd: 0,
+            pos: 0,
+            sigma: 1.0,
+            ..marks[s.index()]
+        };
+        fwd_order.push(s);
+        marks[r.index()].bwd = 0;
+        bwd_order.push(r);
+        // Radius, first index of the frontier layer, and the frontier's
+        // degree sum on each side.
+        let (mut l, mut f_lo, mut f_cost) = (0, 0, g.out_degree(s));
+        let (mut b, mut b_lo, mut b_cost) = (0, 0, g.in_degree(r));
+        loop {
+            let mut met = false;
+            if f_cost <= b_cost {
+                let hi = fwd_order.len();
+                f_cost = 0;
+                for i in f_lo..hi {
+                    let u = fwd_order[i];
+                    let su = marks[u.index()].sigma;
+                    for e in g.out_edges(u) {
+                        let (_, v) = g.edge_endpoints(e).expect("live out-edge");
+                        let m = &mut marks[v.index()];
+                        if m.fwd <= l || !keep(e, u, v) {
+                            continue;
+                        }
+                        if m.fwd == UNSEEN {
+                            m.fwd = l + 1;
+                            m.pos = fwd_order.len();
+                            m.sigma = su;
+                            met |= m.bwd != UNSEEN;
+                            fwd_order.push(v);
+                            f_cost += g.out_degree(v);
+                        } else {
+                            m.sigma += su;
+                        }
+                    }
+                }
+                (l, f_lo) = (l + 1, hi);
+                if f_lo == fwd_order.len() {
+                    return None;
+                }
+            } else {
+                let hi = bwd_order.len();
+                b_cost = 0;
+                for i in b_lo..hi {
+                    let v = bwd_order[i];
+                    for e in g.in_edges(v) {
+                        let (u, _) = g.edge_endpoints(e).expect("live in-edge");
+                        let m = &mut marks[u.index()];
+                        if m.bwd != UNSEEN || !keep(e, u, v) {
+                            continue;
+                        }
+                        m.bwd = b + 1;
+                        met |= m.fwd != UNSEEN;
+                        bwd_order.push(u);
+                        b_cost += g.in_degree(u);
+                    }
+                }
+                (b, b_lo) = (b + 1, hi);
+                if b_lo == bwd_order.len() {
+                    return None;
+                }
+            }
+            if met {
+                return Some((l, b, f_lo));
+            }
+        }
+    }
+
+    /// Step 2: extends forward `σ` from layer `l` (starting at `lo` in
+    /// `fwd_order`) to layer `d`, through the DAG nodes alone.
+    fn extend<N, E>(
+        &mut self,
+        g: &DiGraph<N, E>,
+        l: u32,
+        d: u32,
+        mut lo: usize,
+        keep: &impl Fn(EdgeId, NodeId, NodeId) -> bool,
+    ) {
+        let PathSampler {
+            marks, fwd_order, ..
+        } = self;
+        for k in l..d {
+            let hi = fwd_order.len();
+            for i in lo..hi {
+                let u = fwd_order[i];
+                let Mark { bwd, sigma: su, .. } = marks[u.index()];
+                if bwd != d - k {
+                    continue;
+                }
+                for e in g.out_edges(u) {
+                    let (_, v) = g.edge_endpoints(e).expect("live out-edge");
+                    let m = &mut marks[v.index()];
+                    if m.bwd != d - k - 1 || !keep(e, u, v) {
+                        continue;
+                    }
+                    if m.fwd == UNSEEN {
+                        m.fwd = k + 1;
+                        m.pos = fwd_order.len();
+                        m.sigma = su;
+                        fwd_order.push(v);
+                    } else {
+                        m.sigma += su;
+                    }
+                }
+            }
+            lo = hi;
+        }
+    }
+
+    /// Step 3: the backward walk from `r`, `d` hops away, one draw per hop.
+    fn walk<N, E, R: Rng + ?Sized>(
+        &mut self,
+        g: &DiGraph<N, E>,
+        s: NodeId,
+        r: NodeId,
+        d: u32,
+        keep: &impl Fn(EdgeId, NodeId, NodeId) -> bool,
+        rng: &mut R,
+    ) -> Vec<EdgeId> {
+        let PathSampler {
+            marks,
+            fwd_order,
+            preds,
+            ..
+        } = self;
+        let mut path = Vec::with_capacity(d as usize);
+        let mut cur = r;
+        while cur != s {
+            let layer = marks[cur.index()].fwd - 1;
+            preds.clear();
+            for e in g.in_edges(cur) {
+                let (u, _) = g.edge_endpoints(e).expect("live in-edge");
+                let m = marks[u.index()];
+                if m.fwd == layer && keep(e, u, cur) {
+                    preds.push((m.pos, e));
+                }
+            }
+            // The reference appends a node's predecessors as its BFS
+            // expands their tails, each tail's out-edges in ascending id.
+            preds.sort_unstable();
+            let sigma = |&(pos, _): &(usize, EdgeId)| marks[fwd_order[pos].index()].sigma;
+            let total: f64 = preds.iter().map(sigma).sum();
+            let mut pick = rng.gen_range(0.0..total);
+            let mut chosen = *preds.last().expect("non-source node has predecessors");
+            for p in preds.iter() {
+                let w = sigma(p);
+                if pick < w {
+                    chosen = *p;
+                    break;
+                }
+                pick -= w;
+            }
+            path.push(chosen.1);
+            cur = fwd_order[chosen.0];
+        }
+        path.reverse();
+        path
+    }
 }
 
 /// All-pairs hop distances: `matrix[s][t]` for all live node pairs.
@@ -382,8 +657,7 @@ mod tests {
     }
 
     /// An independent oracle for the loop: a plain queue BFS that
-    /// allocates a fresh tree, appends to `order` on dequeue, and never
-    /// filters or stops early.
+    /// allocates a fresh tree and appends to `order` on dequeue.
     fn textbook_bfs<N, E>(g: &DiGraph<N, E>, source: NodeId) -> BfsTree {
         let n = g.node_bound();
         let mut t = BfsTree {
@@ -438,62 +712,26 @@ mod tests {
     }
 
     #[test]
-    fn target_bounded_rerun_is_exact_up_to_the_target_distance() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        let g = generators::barabasi_albert(120, 2, &mut rng);
-        // One tree across every pair, so each run also checks the reset.
-        let mut tree = BfsTree::default();
-        let mut unreached = 0;
-        for (s, t) in [(0, 119), (5, 6), (40, 40), (77, 3), (119, 0), (60, 61)] {
-            let (s, t) = (NodeId(s), NodeId(t));
-            let full = bfs(&g, s);
-            tree.rerun(&g, s, Some(t), |_, _, _| true);
-            let dt = full.distance(t).expect("BA graphs are connected");
-            for v in g.node_ids() {
-                let i = v.index();
-                if full.dist[i].is_some_and(|d| d <= dt) {
-                    assert_eq!(tree.dist[i], full.dist[i], "{s}->{t}: dist of {v}");
-                    assert_eq!(tree.sigma[i].to_bits(), full.sigma[i].to_bits());
-                    assert_eq!(tree.pred_edges[i], full.pred_edges[i]);
-                } else {
-                    assert!(!tree.is_reachable(v), "{s}->{t}: {v} beyond d = {dt}");
-                    assert_eq!(tree.sigma[i], 0.0);
-                    assert!(tree.pred_edges[i].is_empty());
-                    unreached += 1;
-                }
-            }
-            let settled: Vec<NodeId> = full
-                .order
-                .iter()
-                .copied()
-                .filter(|v| full.dist[v.index()].is_some_and(|d| d <= dt))
-                .collect();
-            assert_eq!(tree.order, settled, "{s}->{t}: order is the settled prefix");
-        }
-        assert!(
-            unreached > 0,
-            "some run must stop before reaching every node"
+    fn searches_meet_where_the_cheaper_frontier_leads() {
+        let mut sampler = PathSampler::default();
+        let mut meet = |g: &DiGraph, s: usize, r: usize| {
+            sampler.reset(g.node_bound());
+            let (l, b, _) = sampler
+                .meet(g, NodeId(s), NodeId(r), &|_, _, _| true)
+                .expect("connected");
+            (l, b)
+        };
+        let star = generators::star(6);
+        assert_eq!(meet(&star, 0, 3), (0, 1), "hub -> leaf meets at the sender");
+        assert_eq!(
+            meet(&star, 3, 0),
+            (1, 0),
+            "leaf -> hub meets at the receiver"
         );
-    }
-
-    #[test]
-    fn filtered_rerun_equals_bfs_on_the_filtered_copy() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut g = generators::erdos_renyi(80, 0.06, &mut rng);
-        g.remove_node(NodeId(3));
-        let mut tree = BfsTree::default();
-        for keep_mod in [2, 3, 7] {
-            let keep = |e: EdgeId, u: NodeId, v: NodeId| {
-                !e.index().is_multiple_of(keep_mod) && !(u.index() + v.index()).is_multiple_of(11)
-            };
-            let copy = g.filter_edges(|e, u, v, _| keep(e, u, v));
-            for s in [0, 3, 10, 79] {
-                tree.rerun(&g, NodeId(s), None, keep);
-                assert_trees_eq(&tree, &bfs(&copy, NodeId(s)));
-            }
-        }
+        assert_eq!(meet(&star, 3, 5), (1, 1));
+        // Ties go forward, so the end-to-end search on a path meets one
+        // hop short of the receiver.
+        assert_eq!(meet(&generators::path(9), 0, 8), (7, 1));
     }
 
     #[test]
@@ -502,13 +740,13 @@ mod tests {
         let small = generators::path(4);
         let mut tree = BfsTree::default();
         for (g, s) in [(&big, 5), (&small, 1), (&big, 0), (&small, 3)] {
-            tree.rerun(g, NodeId(s), None, |_, _, _| true);
+            tree.rerun(g, NodeId(s));
             assert_trees_eq(&tree, &bfs(g, NodeId(s)));
         }
         // A removed source leaves an all-unreached tree, as `bfs` does.
         let mut g = generators::star(3);
         g.remove_node(NodeId(0));
-        tree.rerun(&g, NodeId(0), Some(NodeId(1)), |_, _, _| true);
+        tree.rerun(&g, NodeId(0));
         assert_trees_eq(&tree, &bfs(&g, NodeId(0)));
     }
 }

@@ -40,7 +40,7 @@
 //! ## Bit-identity
 //!
 //! Results are bit-identical to
-//! [`weighted_node_betweenness`](crate::betweenness::weighted_node_betweenness)
+//! [`weighted_node_betweenness`]
 //! on the updated graph (with the same effective weight), not merely
 //! numerically close:
 //!

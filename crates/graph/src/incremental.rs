@@ -35,7 +35,7 @@
 //! ## Bit-identity
 //!
 //! The new node's score is guaranteed bit-identical to its entry of
-//! [`weighted_node_betweenness`](crate::betweenness::weighted_node_betweenness)
+//! [`weighted_node_betweenness`]
 //! on the augmented graph, not merely numerically close:
 //!
 //! * affected sources are recomputed with the *same* kernel

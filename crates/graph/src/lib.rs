@@ -11,7 +11,8 @@
 //! * [`graph`] — the [`DiGraph`] container with stable [`NodeId`]/[`EdgeId`]
 //!   handles, tombstoned removal, reduced-subgraph filtering and the
 //!   `G \ {u}` operation used by the modified Zipf ranking.
-//! * [`bfs`] — hop distances, shortest-path counting `m(s,r)`, diameter.
+//! * [`bfs`] — hop distances, shortest-path counting `m(s,r)`, diameter,
+//!   and the uniform shortest-path sampler behind payment routing.
 //! * [`dijkstra`] — fee-weighted routing for the simulator.
 //! * [`betweenness`] — Brandes edge/node betweenness with per-pair weights,
 //!   the exact quantity in the paper's Eq. 2 (`p_e`) and the Section IV

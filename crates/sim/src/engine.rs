@@ -22,7 +22,7 @@ use crate::htlc::Htlc;
 use crate::network::{Pcn, RouteError};
 use crate::retry::RetryPolicy;
 use crate::workload::Tx;
-use lcg_graph::bfs::BfsTree;
+use lcg_graph::bfs::PathSampler;
 use lcg_graph::{EdgeId, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -258,8 +258,8 @@ struct Engine<'a, R: ?Sized> {
     report: SimReport,
     /// Stuck HTLCs awaiting their timeouts.
     pending: Vec<PendingHtlc>,
-    /// BFS buffers reused by every routing call of the run.
-    tree: BfsTree,
+    /// Routing buffers reused by every routing call of the run.
+    sampler: PathSampler,
 }
 
 /// The engine proper, behind `Simulation::run`. A run without faults or
@@ -297,7 +297,7 @@ pub(crate) fn run_core<R: Rng + ?Sized>(
         retry,
         report,
         pending: Vec::new(),
-        tree: BfsTree::default(),
+        sampler: PathSampler::default(),
     };
     let mut events: u64 = 0;
     for tx in txs {
@@ -490,7 +490,7 @@ impl<R: Rng + ?Sized> Engine<'_, R> {
                 amount,
                 |e| !avoid.contains(&e),
                 |v| !faults.offline_at(v, now),
-                &mut self.tree,
+                &mut self.sampler,
                 self.rng,
             )
         };

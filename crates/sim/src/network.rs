@@ -10,7 +10,7 @@
 use crate::channel::Channel;
 use crate::fees::FeeFunction;
 use crate::onchain::{CloseMode, CostModel};
-use lcg_graph::bfs::BfsTree;
+use lcg_graph::bfs::{BfsTree, PathSampler};
 use lcg_graph::{DiGraph, EdgeId, NodeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -307,8 +307,8 @@ impl Pcn {
         amount: f64,
         rng: &mut R,
     ) -> Option<Vec<EdgeId>> {
-        let mut tree = BfsTree::default();
-        self.sample_shortest_path_filtered(s, r, amount, |_| true, |_| true, &mut tree, rng)
+        let mut sampler = PathSampler::default();
+        self.sample_shortest_path_filtered(s, r, amount, |_| true, |_| true, &mut sampler, rng)
     }
 
     /// [`Pcn::sample_shortest_path`] restricted to edges accepted by
@@ -318,13 +318,13 @@ impl Pcn {
     /// all-pass filters reproduce the unfiltered sampler exactly
     /// (including its RNG draw sequence).
     ///
-    /// `G'(x)` is never built: one [`BfsTree::rerun`] into the caller's
-    /// `tree` applies the balance test and both filters to each edge as
-    /// it reaches it, and stops at `r`'s layer. It returns the same path
-    /// and makes the same RNG draws as [`lcg_graph::bfs::bfs`] on
-    /// [`Pcn::reduced_graph`] (filtered alike) followed by
-    /// [`sample_path_from_tree`]. Keeping one tree across payments makes
-    /// the returned path the only allocation.
+    /// `G'(x)` is never built: the caller's [`PathSampler`] applies the
+    /// balance test and both filters to each edge it reads while it
+    /// searches from both ends and walks the shortest-path DAG between `s`
+    /// and `r`. It returns the same path and makes the same RNG draws as
+    /// [`lcg_graph::bfs::bfs`] on [`Pcn::reduced_graph`] (filtered alike)
+    /// followed by [`sample_path_from_tree`]. Keeping one sampler across
+    /// payments makes the returned path the only allocation.
     ///
     /// Returns `None` if `r` is unreachable in the filtered subgraph.
     #[allow(clippy::too_many_arguments)]
@@ -335,16 +335,21 @@ impl Pcn {
         amount: f64,
         edge_ok: impl Fn(EdgeId) -> bool,
         node_ok: impl Fn(NodeId) -> bool,
-        tree: &mut BfsTree,
+        sampler: &mut PathSampler,
         rng: &mut R,
     ) -> Option<Vec<EdgeId>> {
-        tree.rerun(&self.graph, s, Some(r), |e, u, v| {
-            self.graph.edge(e).is_some_and(|eb| can_forward(eb, amount))
-                && edge_ok(e)
-                && node_ok(u)
-                && node_ok(v)
-        });
-        sample_path_from_tree(&self.graph, tree, r, rng)
+        sampler.sample(
+            &self.graph,
+            s,
+            r,
+            |e, u, v| {
+                self.graph.edge(e).is_some_and(|eb| can_forward(eb, amount))
+                    && edge_ok(e)
+                    && node_ok(u)
+                    && node_ok(v)
+            },
+            rng,
+        )
     }
 
     /// Live channels as `(forward, backward)` edge pairs, in ascending
@@ -520,6 +525,10 @@ fn can_forward(eb: &EdgeBalance, x: f64) -> bool {
 /// paths by backward-walking the predecessor DAG with probabilities
 /// `σ(v)/σ(w)` (each parallel predecessor edge weighted by its tail's path
 /// count).
+///
+/// This is the reference the engine's [`PathSampler`] must match path for
+/// path and draw for draw when `tree` is a full [`lcg_graph::bfs::bfs`] of
+/// the filtered `G'(x)`.
 pub fn sample_path_from_tree<N, E, R: Rng + ?Sized>(
     g: &DiGraph<N, E>,
     tree: &BfsTree,

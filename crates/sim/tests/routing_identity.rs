@@ -1,21 +1,23 @@
-//! Routing identity: the in-place, target-bounded sampler
-//! (`Pcn::sample_shortest_path_filtered` over one reused `BfsTree`) must
-//! return the same path as the reference pipeline — build `G'(x)` with
-//! `Pcn::reduced_graph` (plus the same avoid/offline filters), run a full
-//! `bfs::bfs` on the copy, then `sample_path_from_tree` — and leave the
-//! routing RNG in the same state, checked by the `to_bits` of the next
+//! Routing identity: the engine's sampler
+//! (`Pcn::sample_shortest_path_filtered` over one reused `PathSampler`)
+//! must return the same path as the reference pipeline — build `G'(x)`
+//! with `Pcn::reduced_graph` (plus the same avoid/offline filters), run a
+//! full `bfs::bfs` on the copy, then `sample_path_from_tree` — and leave
+//! the routing RNG in the same state, checked by the `to_bits` of the next
 //! draw on each side.
 //!
-//! Every test reuses one tree across all of its payments, so senders,
+//! Every test reuses one sampler across all of its payments, so senders,
 //! receivers and filters change between runs of the same buffers.
 //!
-//! The reference shares `BfsTree::rerun` with the sampler (it backs
-//! `bfs::bfs`), so a change to the loop itself would move both sides.
-//! The `bfs` unit tests pin the loop against a textbook queue BFS, and
-//! `engine_reproduces_recorded_digests` pins whole runs.
+//! The two sides share no loop: the sampler searches from both ends and
+//! walks the shortest-path DAG, while the reference runs `BfsTree::rerun`
+//! over the whole copy. So the suite compares two independent
+//! implementations. The `bfs` unit tests pin `BfsTree::rerun` against a
+//! textbook queue BFS, and `engine_reproduces_recorded_digests` pins whole
+//! runs.
 
-use lcg_graph::bfs::{self, BfsTree};
-use lcg_graph::{generators, EdgeId, NodeId};
+use lcg_graph::bfs::{self, PathSampler};
+use lcg_graph::{generators, DiGraph, EdgeId, NodeId};
 use lcg_sim::engine::{SimReport, Simulation};
 use lcg_sim::faults::FaultPlan;
 use lcg_sim::fees::{FeeFunction, TxSizeDistribution};
@@ -26,6 +28,7 @@ use lcg_sim::retry::RetryPolicy;
 use lcg_sim::snapshot::{self, SnapshotConfig};
 use lcg_sim::workload::{PairWeights, WorkloadBuilder};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The kept reference: materialize the filtered `G'(x)`, BFS it fully,
@@ -67,15 +70,22 @@ impl Streams {
     fn route(
         &mut self,
         pcn: &Pcn,
-        tree: &mut BfsTree,
+        sampler: &mut PathSampler,
         s: NodeId,
         r: NodeId,
         amount: f64,
         edge_ok: &dyn Fn(EdgeId) -> bool,
         node_ok: &dyn Fn(NodeId) -> bool,
     ) -> Option<Vec<EdgeId>> {
-        let got =
-            pcn.sample_shortest_path_filtered(s, r, amount, edge_ok, node_ok, tree, &mut self.new);
+        let got = pcn.sample_shortest_path_filtered(
+            s,
+            r,
+            amount,
+            edge_ok,
+            node_ok,
+            sampler,
+            &mut self.new,
+        );
         let want = reference_route(pcn, s, r, amount, edge_ok, node_ok, &mut self.reference);
         assert_eq!(got, want, "{s} -> {r}, amount {amount}: paths differ");
         let a: f64 = self.new.gen_range(0.0..1.0);
@@ -92,12 +102,12 @@ impl Streams {
     fn route_plain(
         &mut self,
         pcn: &Pcn,
-        tree: &mut BfsTree,
+        sampler: &mut PathSampler,
         s: NodeId,
         r: NodeId,
         amount: f64,
     ) -> Option<Vec<EdgeId>> {
-        self.route(pcn, tree, s, r, amount, &|_| true, &|_| true)
+        self.route(pcn, sampler, s, r, amount, &|_| true, &|_| true)
     }
 }
 
@@ -109,15 +119,19 @@ fn ba_snapshot(seed: u64, nodes: usize) -> Pcn {
     snapshot::generate(&config, &mut StdRng::seed_from_u64(seed))
 }
 
-fn er_network(seed: u64, nodes: usize) -> Pcn {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let topology = generators::erdos_renyi(nodes, 0.05, &mut rng);
+/// Three coins on each end of every channel of `topology`.
+fn constant_fee_network(topology: &DiGraph) -> Pcn {
     Pcn::from_topology(
-        &topology,
+        topology,
         3.0,
         CostModel::default(),
         FeeFunction::Constant { fee: 0.01 },
     )
+}
+
+fn er_network(seed: u64, nodes: usize) -> Pcn {
+    let mut rng = StdRng::seed_from_u64(seed);
+    constant_fee_network(&generators::erdos_renyi(nodes, 0.05, &mut rng))
 }
 
 fn random_node(rng: &mut StdRng, pcn: &Pcn) -> NodeId {
@@ -130,7 +144,7 @@ fn random_node(rng: &mut StdRng, pcn: &Pcn) -> NodeId {
 fn replay_random_stream(pcn: &mut Pcn, seed: u64, payments: usize) -> (usize, usize) {
     let mut draws = StdRng::seed_from_u64(seed ^ 0xD1CE);
     let mut streams = Streams::new(seed);
-    let mut tree = BfsTree::default();
+    let mut sampler = PathSampler::default();
     let (mut routed, mut unroutable) = (0, 0);
     for i in 0..payments {
         let s = random_node(&mut draws, pcn);
@@ -140,7 +154,7 @@ fn replay_random_stream(pcn: &mut Pcn, seed: u64, payments: usize) -> (usize, us
             1 => 0.01,
             _ => draws.gen_range(0.05..6.0),
         };
-        let Some(path) = streams.route_plain(pcn, &mut tree, s, r, amount) else {
+        let Some(path) = streams.route_plain(pcn, &mut sampler, s, r, amount) else {
             unroutable += 1;
             continue;
         };
@@ -154,8 +168,10 @@ fn replay_random_stream(pcn: &mut Pcn, seed: u64, payments: usize) -> (usize, us
 
 #[test]
 fn ba_snapshots_route_identically() {
-    for seed in [1, 7919, 3] {
-        let mut pcn = ba_snapshot(seed, 150);
+    // BA-2000 is the benchmark's host size; there the two searches trade
+    // the cheaper frontier several times per payment.
+    for (seed, nodes) in [(1, 150), (7919, 150), (3, 150), (1, 2_000)] {
+        let mut pcn = ba_snapshot(seed, nodes);
         let (routed, unroutable) = replay_random_stream(&mut pcn, seed, 400);
         assert!(routed > 100, "seed {seed}: only {routed} payments routed");
         assert!(unroutable >= 80, "seed {seed}: the empty-G'(x) amounts");
@@ -178,7 +194,7 @@ fn avoid_lists_and_offline_filters_route_identically() {
     let pcn = ba_snapshot(7, 120);
     let mut draws = StdRng::seed_from_u64(70);
     let mut streams = Streams::new(7);
-    let mut tree = BfsTree::default();
+    let mut sampler = PathSampler::default();
     let edges: Vec<EdgeId> = pcn.graph().edge_ids().collect();
     let mut filtered_out = 0;
     for i in 0..300 {
@@ -190,8 +206,8 @@ fn avoid_lists_and_offline_filters_route_identically() {
         let r = random_node(&mut draws, &pcn);
         let edge_ok = |e: EdgeId| !avoid.contains(&e);
         let node_ok = |v: NodeId| !offline.contains(&v);
-        let got = streams.route(&pcn, &mut tree, s, r, 0.5, &edge_ok, &node_ok);
-        if s != r && got.is_none() && streams.route_plain(&pcn, &mut tree, s, r, 0.5).is_some() {
+        let got = streams.route(&pcn, &mut sampler, s, r, 0.5, &edge_ok, &node_ok);
+        if s != r && got.is_none() && streams.route_plain(&pcn, &mut sampler, s, r, 0.5).is_some() {
             filtered_out += 1;
         }
     }
@@ -213,24 +229,24 @@ fn unreachable_removed_and_self_receivers_route_identically() {
     assert_eq!(pcn.graph().degree(gone), 0);
     let past_bound = NodeId(pcn.graph().node_bound() + 3);
     let mut streams = Streams::new(5);
-    let mut tree = BfsTree::default();
+    let mut sampler = PathSampler::default();
     for s in [NodeId(0), NodeId(9), NodeId(42)] {
         for r in [isolated, gone, past_bound] {
-            assert_eq!(streams.route_plain(&pcn, &mut tree, s, r, 0.5), None);
+            assert_eq!(streams.route_plain(&pcn, &mut sampler, s, r, 0.5), None);
         }
         // `s == r`: the empty path, with no draw.
         assert_eq!(
-            streams.route_plain(&pcn, &mut tree, s, s, 0.5),
+            streams.route_plain(&pcn, &mut sampler, s, s, 0.5),
             Some(Vec::new())
         );
-        // Reachable again right after, on the same tree.
+        // Reachable again right after, with the same sampler.
         assert!(streams
-            .route_plain(&pcn, &mut tree, s, NodeId(30), 0.5)
+            .route_plain(&pcn, &mut sampler, s, NodeId(30), 0.5)
             .is_some());
     }
     for s in [isolated, gone, past_bound] {
         assert_eq!(
-            streams.route_plain(&pcn, &mut tree, s, NodeId(1), 0.5),
+            streams.route_plain(&pcn, &mut sampler, s, NodeId(1), 0.5),
             None
         );
     }
@@ -241,18 +257,18 @@ fn channels_closed_mid_stream_route_identically() {
     let mut pcn = ba_snapshot(13, 100);
     let mut draws = StdRng::seed_from_u64(130);
     let mut streams = Streams::new(13);
-    let mut tree = BfsTree::default();
+    let mut sampler = PathSampler::default();
     for round in 0..8 {
         for _ in 0..40 {
             let s = random_node(&mut draws, &pcn);
             let r = random_node(&mut draws, &pcn);
-            if let Some(path) = streams.route_plain(&pcn, &mut tree, s, r, 0.5) {
+            if let Some(path) = streams.route_plain(&pcn, &mut sampler, s, r, 0.5) {
                 if let Ok(htlc) = Htlc::lock(&mut pcn, &path, 0.5) {
                     htlc.settle(&mut pcn);
                 }
             }
         }
-        // Tombstone a batch of channels; the tree keeps its buffers.
+        // Tombstone a batch of channels; the sampler keeps its buffers.
         let channels = pcn.channels();
         for k in 0..6 {
             let id = channels[(round * 31 + k * 17) % channels.len()];
@@ -260,6 +276,147 @@ fn channels_closed_mid_stream_route_identically() {
         }
     }
     assert!(pcn.graph().edge_count() < pcn.graph().edge_bound());
+}
+
+#[test]
+fn searches_meeting_at_either_end_route_identically() {
+    // On a star, hub → leaf meets at the sender (the leaf's side is
+    // cheaper), leaf → hub at the receiver, and leaf → leaf in between.
+    let star = constant_fee_network(&generators::star(11));
+    // End to end on a long path, the searches meet in between.
+    let line = constant_fee_network(&generators::path(40));
+    let mut streams = Streams::new(17);
+    let mut sampler = PathSampler::default();
+    for leaf in 1..=11 {
+        for (s, r) in [(0, leaf), (leaf, 0), (leaf, leaf % 11 + 1)] {
+            let path = streams.route_plain(&star, &mut sampler, NodeId(s), NodeId(r), 0.5);
+            assert_eq!(
+                path.map(|p| p.len()),
+                Some(if s == 0 || r == 0 { 1 } else { 2 })
+            );
+        }
+    }
+    for (s, r) in [(0, 39), (39, 0), (3, 36), (20, 21)] {
+        let path = streams.route_plain(&line, &mut sampler, NodeId(s), NodeId(r), 0.5);
+        assert_eq!(path.map(|p| p.len()), Some(s.abs_diff(r)));
+    }
+}
+
+/// `source`, then `layers` layers of `width` nodes, then `sink`, with two
+/// parallel channels from each node to every node of the next layer:
+/// `2·(2·width)^layers` shortest `source → sink` paths. Channels open in
+/// shuffled order with random funds, so edge ids follow neither the
+/// layers nor BFS order, and payments thin out some parallel edges.
+fn layered_host(width: usize, layers: usize, seed: u64) -> (Pcn, NodeId, NodeId) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pcn = Pcn::new(CostModel::default(), FeeFunction::Constant { fee: 0.01 });
+    let source = pcn.add_node();
+    let mut tiers = vec![vec![source]];
+    for _ in 0..layers {
+        tiers.push((0..width).map(|_| pcn.add_node()).collect());
+    }
+    let sink = pcn.add_node();
+    tiers.push(vec![sink]);
+    let mut channels: Vec<(NodeId, NodeId)> = tiers
+        .windows(2)
+        .flat_map(|w| {
+            w[0].iter()
+                .flat_map(|&u| w[1].iter().flat_map(move |&v| [(u, v), (u, v)]))
+        })
+        .collect();
+    channels.shuffle(&mut rng);
+    for (u, v) in channels {
+        pcn.open_channel(u, v, rng.gen_range(1.0..4.0), rng.gen_range(1.0..4.0));
+    }
+    (pcn, source, sink)
+}
+
+#[test]
+fn parallel_channels_past_2_pow_53_paths_route_identically() {
+    // 2·6^40 ≈ 2.7e31 paths: past 2^53 the odd part 3^k of a count no
+    // longer fits the mantissa, so the `σ` sums round.
+    let (mut pcn, source, sink) = layered_host(3, 40, 53);
+    let paths = bfs::bfs(pcn.graph(), source).path_count(sink);
+    assert!(paths > 2f64.powi(53), "{paths} shortest paths");
+    let mut draws = StdRng::seed_from_u64(530);
+    let mut streams = Streams::new(53);
+    let mut sampler = PathSampler::default();
+    let mut routed = 0;
+    for i in 0..300 {
+        // End to end in both directions, and between random nodes.
+        let (s, r) = match i % 3 {
+            0 => (source, sink),
+            1 => (sink, source),
+            _ => (random_node(&mut draws, &pcn), random_node(&mut draws, &pcn)),
+        };
+        let amount = draws.gen_range(0.05..1.5);
+        if let Some(path) = streams.route_plain(&pcn, &mut sampler, s, r, amount) {
+            routed += 1;
+            if let Ok(htlc) = Htlc::lock(&mut pcn, &path, amount) {
+                htlc.settle(&mut pcn);
+            }
+        }
+    }
+    assert!(routed > 250, "only {routed} payments routed");
+}
+
+/// Beyond channel graphs: random directed multigraphs with one-way edges,
+/// self-loops, parallel edges, tombstones and an edge-weight filter, routed
+/// by `PathSampler` directly and checked against the same reference.
+#[test]
+fn directed_multigraphs_route_identically() {
+    let mut draws = StdRng::seed_from_u64(99);
+    let mut sampler = PathSampler::default();
+    let mut routed = 0;
+    for round in 0..150 {
+        let n = draws.gen_range(2..60);
+        let mut g: DiGraph<(), u32> = DiGraph::new();
+        let ns: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
+        for _ in 0..draws.gen_range(0..4 * n) {
+            let u = ns[draws.gen_range(0..n)];
+            let v = if draws.gen_bool(0.05) {
+                u
+            } else {
+                ns[draws.gen_range(0..n)]
+            };
+            g.add_edge(u, v, draws.gen_range(0..10));
+            if draws.gen_bool(0.2) {
+                g.add_edge(u, v, draws.gen_range(0..10));
+            }
+            if draws.gen_bool(0.5) {
+                g.add_edge(v, u, draws.gen_range(0..10));
+            }
+        }
+        if round % 3 == 0 && g.edge_bound() > 0 {
+            for _ in 0..3 {
+                g.remove_edge(EdgeId(draws.gen_range(0..g.edge_bound())));
+            }
+        }
+        if round % 7 == 0 {
+            g.remove_node(ns[draws.gen_range(0..n)]);
+        }
+        for _ in 0..40 {
+            let floor = draws.gen_range(0..10);
+            let banned = ns[draws.gen_range(0..n)];
+            let keep = |e: EdgeId, u: NodeId, v: NodeId| {
+                g.edge(e).is_some_and(|&w| w >= floor) && u != banned && v != banned
+            };
+            // One id past the bound: a receiver or sender outside the graph.
+            let s = NodeId(draws.gen_range(0..=n));
+            let r = NodeId(draws.gen_range(0..=n));
+            let mut streams = Streams::new(draws.gen_range(0..u64::MAX));
+            let got = sampler.sample(&g, s, r, keep, &mut streams.new);
+            let copy = g.filter_edges(|e, u, v, _| keep(e, u, v));
+            let tree = bfs::bfs(&copy, s);
+            let want = sample_path_from_tree(&copy, &tree, r, &mut streams.reference);
+            assert_eq!(got, want, "round {round}: {s} -> {r}");
+            let a: f64 = streams.new.gen_range(0.0..1.0);
+            let b: f64 = streams.reference.gen_range(0.0..1.0);
+            assert_eq!(a.to_bits(), b.to_bits(), "round {round}: {s} -> {r}");
+            routed += usize::from(got.is_some_and(|p| !p.is_empty()));
+        }
+    }
+    assert!(routed > 1_000, "only {routed} non-empty paths");
 }
 
 /// FNV-1a over the little-endian bytes of each word.
