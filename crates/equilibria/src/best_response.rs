@@ -28,11 +28,12 @@ pub struct DynamicsReport {
     /// (see [`NashReport::bound_pruned`](crate::nash::NashReport)).
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Brandes source recomputations paid for utility evaluations.
+    /// Live nodes per utility evaluation, summed (see
+    /// [`NashReport::sources_recomputed`](crate::nash::NashReport)).
     #[serde(default)]
     pub sources_recomputed: u64,
-    /// Sources that reused their cached BFS tree and only re-ran the
-    /// dependency kernel under a changed Zipf row.
+    /// Always 0 (see
+    /// [`NashReport::sources_reweighted`](crate::nash::NashReport)).
     #[serde(default)]
     pub sources_reweighted: u64,
 }
@@ -47,9 +48,10 @@ impl NashAnalyzer {
     /// deviation-free round (convergence: the state is then a verified
     /// Nash equilibrium) or after `max_rounds`.
     ///
-    /// The incremental [`EvalContext`] snapshot survives across players
-    /// (and rounds) for as long as nobody moves, and is re-snapshotted
-    /// only after an applied deviation changes the state.
+    /// One [`EvalContext`] snapshot serves every player's
+    /// [`CandidateScorer`](crate::scorer::CandidateScorer) across players
+    /// and rounds for as long as nobody moves; it is rebuilt after each
+    /// applied deviation changes the state.
     ///
     /// # Examples
     ///
@@ -94,7 +96,7 @@ impl NashAnalyzer {
             explored: stats.explored,
             bound_pruned: stats.bound_pruned,
             sources_recomputed: stats.sources_recomputed,
-            sources_reweighted: stats.sources_reweighted,
+            sources_reweighted: 0,
         }
     }
 }

@@ -13,11 +13,16 @@
 //! * [`nash`] — the deviation checker: lazily enumerates every
 //!   remove-owned × add-new combination per player (exponential — the
 //!   NP-hardness of the general problem is Thm 2 of \[19\]), pruned by an
-//!   admissible utility upper bound and evaluated through the edge-delta
-//!   incremental engine; both accelerations are verdict-preserving and
-//!   individually opt-out via [`nash::DeviationSearch`].
+//!   admissible utility upper bound and scored in place by
+//!   [`scorer::CandidateScorer`]; both accelerations are
+//!   verdict-preserving and individually opt-out via
+//!   [`nash::DeviationSearch`].
 //!   [`nash::NashAnalyzer`] is the one entry point: it owns the search
 //!   knobs and memoizes nothing, so one analyzer serves any game.
+//! * [`scorer`] — the per-player candidate scorer and the per-state
+//!   [`nash::EvalContext`] snapshot it reads: a candidate's utility,
+//!   bit-identical to [`game::Game::utility`] on the deviated game,
+//!   without cloning the game.
 //! * [`theorems`] — the closed-form predicates of Thm 6 (hub-path bound),
 //!   Thm 7/8/9 (star), and Thm 11 (circle crossover estimates), so
 //!   experiments can compare prediction against mechanized ground truth.
@@ -47,6 +52,7 @@ pub mod best_response;
 pub mod game;
 pub mod nash;
 pub mod pairwise;
+pub mod scorer;
 pub mod theorems;
 pub mod welfare;
 

@@ -25,22 +25,20 @@
 //!   [`NashReport::bound_pruned`]; since the bound is admissible the
 //!   surviving incumbent — and hence the verdict — is identical to the
 //!   exhaustive walk's.
-//! * **Incremental evaluation.** Each candidate graph differs from the
-//!   current state by a handful of one player's channels, so candidate
-//!   utilities are answered by
-//!   [`DeltaRevenueOracle`]
-//!   instead of a from-scratch Brandes pass; only affected sources pay a
-//!   BFS ([`NashReport::sources_recomputed`]), senders whose recomputed
-//!   Zipf row changed re-run just the dependency kernel
-//!   ([`NashReport::sources_reweighted`]), and untouched senders replay
-//!   cached work. Results are bit-identical to [`Game::utility`].
+//! * **In-place scoring.** A candidate changes only the deviating
+//!   player's channels, so every candidate of one player shares the rest
+//!   of the graph. A [`CandidateScorer`] splices the candidate into the
+//!   shared [`EvalContext`] snapshot and computes the player's utility
+//!   alone: its Zipf-weighted revenue from one BFS and one partial
+//!   backward pass per source, and its fees from one BFS. No game is
+//!   cloned and no other player's revenue is computed. Results are
+//!   bit-identical to [`Game::utility`].
 
 use crate::game::Game;
-use lcg_core::delta_eval::DeltaRevenueOracle;
+use crate::scorer::CandidateScorer;
+pub use crate::scorer::EvalContext;
 use lcg_core::exhaustive::binomial;
-use lcg_core::rates::TransactionModel;
 use lcg_core::zipf::{generalized_harmonic, ZipfVariant};
-use lcg_graph::edge_delta::EdgeDelta;
 use lcg_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -80,12 +78,12 @@ pub struct NashReport {
     /// `explored + bound_pruned` equals the exhaustive candidate count.
     #[serde(default)]
     pub bound_pruned: u64,
-    /// Brandes source recomputations (BFS + dependency kernel) paid for
-    /// utility evaluations across all players.
+    /// Live nodes per utility evaluation, summed over every evaluation
+    /// across all players: the Brandes sources each one stands for.
     #[serde(default)]
     pub sources_recomputed: u64,
-    /// Sources that kept their cached shortest-path tree and only re-ran
-    /// the dependency kernel under a changed Zipf weight row.
+    /// Always 0: no evaluation reuses a cached shortest-path tree. Kept
+    /// while the benchmark still reports it.
     #[serde(default)]
     pub sources_reweighted: u64,
 }
@@ -121,12 +119,12 @@ pub struct DeviationSearch {
     /// upper bound cannot beat the incumbent (counted in
     /// [`NashReport::bound_pruned`]).
     pub bound_pruning: bool,
-    /// Answer candidate utilities through the edge-delta engine instead
-    /// of from-scratch Brandes.
+    /// Score candidates in place with a [`CandidateScorer`] instead of
+    /// [`Game::deviate`] followed by [`Game::utility`].
     pub incremental: bool,
-    /// Affected-source fraction above which the engine abandons pruning
-    /// for a query and runs full Brandes (forwarded to
-    /// [`DeltaRevenueOracle::with_fallback_fraction`]).
+    /// Inert: nothing reads it. It stays while the benchmark builds its
+    /// ablation rows by struct update from [`DeviationSearch::default`],
+    /// which needs a field beyond the two it names.
     pub fallback_fraction: f64,
 }
 
@@ -159,10 +157,8 @@ pub struct SearchStats {
     pub explored: u64,
     /// Candidates skipped by the class-level upper bound.
     pub bound_pruned: u64,
-    /// BFS + dependency-kernel passes paid on utility evaluations.
+    /// Live nodes per utility evaluation, summed.
     pub sources_recomputed: u64,
-    /// Kernel-only passes over cached trees (changed Zipf rows).
-    pub sources_reweighted: u64,
 }
 
 impl SearchStats {
@@ -170,42 +166,6 @@ impl SearchStats {
         self.explored += other.explored;
         self.bound_pruned += other.bound_pruned;
         self.sources_recomputed += other.sources_recomputed;
-        self.sources_reweighted += other.sources_reweighted;
-    }
-}
-
-/// One game state's incremental-evaluation snapshot: the
-/// [`DeltaRevenueOracle`] every candidate of every player is answered
-/// from. Build once per state and share across players (it is `Sync`);
-/// the per-player search builds a private one when handed `None`.
-#[derive(Debug)]
-pub struct EvalContext {
-    oracle: DeltaRevenueOracle,
-    fingerprint: Vec<(u32, u32, u32)>,
-}
-
-impl EvalContext {
-    /// Snapshots `game`'s graph under its own Zipf model (one BFS per
-    /// source, amortized over every candidate evaluated against it).
-    pub fn new(game: &Game, search: &DeviationSearch) -> Self {
-        let params = game.params();
-        let model = TransactionModel::zipf(
-            game.graph(),
-            params.zipf_s,
-            params.zipf_variant,
-            vec![1.0; game.graph().node_bound()],
-        );
-        let oracle = DeltaRevenueOracle::new(game.graph(), &model, params.b)
-            .with_fallback_fraction(search.fallback_fraction);
-        EvalContext {
-            oracle,
-            fingerprint: game.canonical_channels(),
-        }
-    }
-
-    /// The snapshotted revenue oracle.
-    pub fn oracle(&self) -> &DeltaRevenueOracle {
-        &self.oracle
     }
 }
 
@@ -237,11 +197,10 @@ fn sized_masks(n: usize, k: usize) -> impl Iterator<Item = u64> {
 }
 
 /// The items selected by `mask`, in slice order.
-fn gather<T: Copy>(items: &[T], mask: u64) -> Vec<T> {
+fn selected<T: Copy>(items: &[T], mask: u64) -> impl Iterator<Item = T> + '_ {
     (0..items.len())
-        .filter(|i| mask & (1 << i) != 0)
+        .filter(move |i| mask & (1 << i) != 0)
         .map(|i| items[i])
-        .collect()
 }
 
 /// The utility a candidate must strictly exceed (by [`GAIN_EPSILON`]) to
@@ -422,8 +381,8 @@ impl UtilityBound {
 /// [`SearchStats`].
 ///
 /// Every configuration returns the same `Option<Deviation>`: the bound is
-/// admissible, the incremental evaluations are bit-identical, and pruned
-/// and exhaustive walks share one enumeration order, so the incumbent
+/// admissible, the scorer's utilities are bit-identical, and pruned and
+/// exhaustive walks share one enumeration order, so the incumbent
 /// trajectory — including [`GAIN_EPSILON`] tie-breaks — is identical.
 pub(crate) fn search_player(
     game: &Game,
@@ -436,46 +395,29 @@ pub(crate) fn search_player(
     let mut player_span = lcg_obs::span::span("equilibria/player_deviation");
     player_span.field_u64("player", player.index() as u64);
     let local_ctx;
-    let ctx = if search.incremental {
-        match ctx {
-            Some(shared) => {
-                debug_assert_eq!(
-                    shared.fingerprint,
-                    game.canonical_channels(),
-                    "EvalContext built from a different game state"
-                );
-                Some(shared)
-            }
-            None => {
-                local_ctx = EvalContext::new(game, &search);
-                Some(&local_ctx)
-            }
+    let ctx = match ctx {
+        _ if !search.incremental => None,
+        Some(shared) => Some(shared),
+        None => {
+            local_ctx = EvalContext::new(game, &search);
+            Some(&local_ctx)
         }
-    } else {
-        None
     };
+    let mut scorer = ctx.map(|c| CandidateScorer::new(c, game, player));
 
     let n_live = game.graph().node_count() as u64;
     let mut stats = SearchStats::default();
-    // Utility of one state: the delta oracle (bit-identical to
-    // `Game::utility`) or the from-scratch path, with the Brandes work
-    // paid recorded either way.
-    let evaluate = |deviated: &Game, delta: &EdgeDelta, stats: &mut SearchStats| -> f64 {
-        match ctx {
-            Some(c) => {
-                let (utility, qs) = deviated.utility_via(player, c.oracle(), delta);
-                stats.sources_recomputed += qs.recomputed_sources as u64;
-                stats.sources_reweighted += qs.reweighted_sources as u64;
-                utility
-            }
-            None => {
-                stats.sources_recomputed += n_live;
-                deviated.utility(player)
-            }
+    // Utility after one candidate: scored in place (bit-identical to
+    // `Game::utility`) or from scratch on the deviated game.
+    let mut evaluate = |remove: &[NodeId], add: &[NodeId], stats: &mut SearchStats| -> f64 {
+        stats.sources_recomputed += n_live;
+        match &mut scorer {
+            Some(scorer) => scorer.score(remove, add),
+            None => game.deviate(player, remove, add).utility(player),
         }
     };
 
-    let before = evaluate(game, &EdgeDelta::new(), &mut stats);
+    let before = evaluate(&[], &[], &mut stats);
     let owned = game.owned_channels(player);
     let neighbors = game.graph().neighbors(player);
     let addable: Vec<NodeId> = game
@@ -495,8 +437,9 @@ pub(crate) fn search_player(
     };
 
     let mut best: Option<Deviation> = None;
+    let mut add = Vec::with_capacity(addable.len());
     for r_mask in 0..(1u64 << owned.len()) {
-        let remove = gather(&owned, r_mask);
+        let remove: Vec<NodeId> = selected(&owned, r_mask).collect();
         for k in 0..=addable.len() {
             if bound.enabled {
                 let class = binomial(addable.len() as u128, k as u128) as u64
@@ -515,13 +458,9 @@ pub(crate) fn search_player(
                     continue;
                 }
                 stats.explored += 1;
-                let add = gather(&addable, a_mask);
-                let deviated = game.deviate(player, &remove, &add);
-                let delta = EdgeDelta {
-                    remove: remove.iter().map(|&t| (player, t)).collect(),
-                    insert: add.iter().map(|&t| (player, t)).collect(),
-                };
-                let after = evaluate(&deviated, &delta, &mut stats);
+                add.clear();
+                add.extend(selected(&addable, a_mask));
+                let after = evaluate(&remove, &add, &mut stats);
                 let improves = if before == f64::NEG_INFINITY {
                     after > f64::NEG_INFINITY
                 } else {
@@ -535,7 +474,7 @@ pub(crate) fn search_player(
                     best = Some(Deviation {
                         player,
                         remove: remove.clone(),
-                        add,
+                        add: add.clone(),
                         utility_before: before,
                         utility_after: after,
                     });
@@ -556,7 +495,8 @@ pub(crate) fn search_player(
 ///
 /// Owns the [`DeviationSearch`] knobs and nothing else, so one analyzer
 /// serves any game: every check evaluates its candidates afresh. The
-/// shared [`EvalContext`] snapshot is managed internally.
+/// shared [`EvalContext`] snapshot and the per-player
+/// [`CandidateScorer`]s are managed internally.
 ///
 /// # Examples
 ///
@@ -641,7 +581,7 @@ impl NashAnalyzer {
             explored: stats.explored,
             bound_pruned: stats.bound_pruned,
             sources_recomputed: stats.sources_recomputed,
-            sources_reweighted: stats.sources_reweighted,
+            sources_reweighted: 0,
         };
         // Mirror the report counters into the global registry so RunReports
         // aggregate deviation-search effort across every check in a run.
@@ -651,7 +591,6 @@ impl NashAnalyzer {
             lcg_obs::counter!("equilibria/explored").add(report.explored);
             lcg_obs::counter!("equilibria/bound_pruned").add(report.bound_pruned);
             lcg_obs::counter!("equilibria/sources_recomputed").add(report.sources_recomputed);
-            lcg_obs::counter!("equilibria/sources_reweighted").add(report.sources_reweighted);
         }
         report
     }

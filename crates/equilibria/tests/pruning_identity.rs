@@ -1,6 +1,6 @@
 //! Differential suite for the accelerated deviation search: across the
-//! Thm 7–11 parameter grid, the pruned + incremental search must return
-//! the same verdict and the same (bit-identical) deviations as the
+//! Thm 7–11 parameter grid, the pruned search with in-place scoring must
+//! return the same verdict and the same (bit-identical) deviations as the
 //! exhaustive reference walk, and its counters must account for every
 //! candidate the reference evaluates. An analyzer reused across games
 //! must answer each one as a fresh analyzer would.
@@ -96,9 +96,10 @@ fn accelerated_search_is_verdict_and_deviation_identical_on_the_theorem_grid() {
 
 #[test]
 fn each_acceleration_is_independently_identical() {
-    // Pruning-only and incremental-only must each match the reference on a
+    // Pruning-only and scoring-only must each match the reference on a
     // representative slice of the grid (the full cross product is covered
-    // by the combined test above).
+    // by the combined test above). `fallback_fraction` is inert, so the
+    // third setting runs the default search.
     let slice = [
         ("star", Game::star(5, stable_star_params())),
         ("path", Game::path(5, GameParams::default())),
@@ -141,9 +142,8 @@ fn each_acceleration_is_independently_identical() {
 fn stable_star_regime_prunes_aggressively() {
     // A Thm 7 stable star at high Zipf bias, head to head with the
     // exhaustive walk at n = 6, 8 and 10. The bound should eliminate the
-    // vast majority of each leaf's 2 · 2^(n−2) candidates, and the
-    // incremental engine should answer the surviving ones without full
-    // Brandes passes.
+    // vast majority of each leaf's 2 · 2^(n−2) candidates, and with them
+    // the Brandes sources their evaluations stand for.
     for n in [6usize, 8, 10] {
         let label = format!("star n={n}");
         let game = Game::star(n, stable_star_params());

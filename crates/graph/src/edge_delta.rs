@@ -12,6 +12,12 @@
 //! (Bergamini–Meyerhenke-style affected-source pruning, made exact for
 //! unweighted hop metrics).
 //!
+//! The deviation search itself no longer calls this engine: every
+//! candidate rewires the deviating player, so few sources replay, and
+//! `lcg_equilibria::scorer` now scores candidates in place instead. The
+//! engine has no caller in the workspace and is kept, with its
+//! differential suite, until it is removed on its own.
+//!
 //! ## Affected-source conditions
 //!
 //! Write `d(s, v)` for base-graph distances (from the snapshot trees),

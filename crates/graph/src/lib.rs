@@ -21,8 +21,11 @@
 //!   augmentations: snapshots per-source BFS trees once and recomputes only
 //!   affected sources, bit-identical to the from-scratch path.
 //! * [`edge_delta`] — the same idea for batches of channel insertions and
-//!   deletions between *existing* nodes (the §IV deviation workload), with
-//!   per-query pair-weight overrides for the recomputed-Zipf setting.
+//!   deletions between *existing* nodes, with per-query pair-weight
+//!   overrides for the recomputed-Zipf setting. The §IV deviation search no
+//!   longer calls it (it scores candidates in place with
+//!   `lcg_equilibria::scorer`); the module stays, with its differential
+//!   suite, until it is removed on its own.
 //! * [`metrics`] — clustering, path lengths and degree statistics for
 //!   reporting on emergent topologies.
 //! * [`generators`] — star/path/circle/complete topologies of §IV and the

@@ -1,8 +1,8 @@
 //! # lcg-obs — the workspace's unified observability layer
 //!
-//! PRs 7–8 bolted ad-hoc counters onto each subsystem (`EvalCacheStats`,
-//! `DeltaQueryStats`, the `NashReport` fields) — three incompatible shapes
-//! with no timing data, no hierarchy and no export format. This crate
+//! Ad-hoc counters used to sit on each subsystem (`EvalCacheStats`, a
+//! delta-engine query struct, the `NashReport` fields) — three incompatible
+//! shapes with no timing data, no hierarchy and no export format. This crate
 //! replaces that per-PR plumbing with one zero-dependency layer (offline,
 //! in the spirit of `crates/compat/`) that every workload crate shares:
 //!

@@ -1,7 +1,7 @@
 //! The hierarchical metrics registry: named counters, gauges and
 //! log-scale latency histograms with atomic updates and a snapshot API.
 //!
-//! Names are `/`-separated paths (`"graph/edge_delta/replayed_sources"`);
+//! Names are `/`-separated paths (`"graph/incremental/recomputed_sources"`);
 //! the exporters turn the separators into a tree. Metric handles are
 //! interned once and leaked (`&'static`), so hot paths can cache them in
 //! a `OnceLock` and pay only an atomic add per update — the

@@ -254,12 +254,19 @@ impl FaultStats {
     }
 }
 
-/// A node's resolved offline window.
+/// A resolved offline window `[from, until)`.
 #[derive(Debug, Clone, Copy)]
 struct OfflineWindow {
-    node: NodeId,
     from: f64,
     until: f64,
+}
+
+/// Adds `[from, until)` to `node`'s windows, growing the index to reach it.
+fn add_window(offline: &mut Vec<Vec<OfflineWindow>>, node: NodeId, from: f64, until: f64) {
+    if offline.len() <= node.index() {
+        offline.resize_with(node.index() + 1, Vec::new);
+    }
+    offline[node.index()].push(OfflineWindow { from, until });
 }
 
 /// A scheduled forced closure.
@@ -279,7 +286,9 @@ pub(crate) struct CompiledFaults {
     pub(crate) stuck_p: f64,
     pub(crate) stuck_timeout: u64,
     pub(crate) active: bool,
-    offline: Vec<OfflineWindow>,
+    /// Each node's offline windows, indexed by `NodeId::index()`. Empty,
+    /// and never allocated, when the plan has none.
+    offline: Vec<Vec<OfflineWindow>>,
     closures: Vec<(f64, ClosureKind)>,
     next_closure: usize,
     pub(crate) rng: StdRng,
@@ -307,7 +316,7 @@ impl CompiledFaults {
                     stuck_timeout = stuck_timeout.min(timeout_events);
                 }
                 FaultRule::NodeOffline { node, from, until } => {
-                    offline.push(OfflineWindow { node, from, until });
+                    add_window(&mut offline, node, from, until);
                 }
                 FaultRule::NodeChurn {
                     probability,
@@ -316,7 +325,7 @@ impl CompiledFaults {
                 } => {
                     for node in pcn.graph().node_ids() {
                         if rng.gen_bool(probability) {
-                            offline.push(OfflineWindow { node, from, until });
+                            add_window(&mut offline, node, from, until);
                         }
                     }
                 }
@@ -363,11 +372,12 @@ impl CompiledFaults {
         }
     }
 
-    /// Whether `node` is inside an offline window at time `t`.
+    /// Whether `node` is inside an offline window at time `t`. Reads only
+    /// `node`'s own windows; without any window it is one `get`.
     pub(crate) fn offline_at(&self, node: NodeId, t: f64) -> bool {
         self.offline
-            .iter()
-            .any(|w| w.node == node && w.from <= t && t < w.until)
+            .get(node.index())
+            .is_some_and(|windows| windows.iter().any(|w| w.from <= t && t < w.until))
     }
 
     /// Executes every closure scheduled at or before `now`. Closures

@@ -193,3 +193,45 @@ fn offline_windows_and_closures_are_reproducible() {
     assert_eq!(a, b);
     assert!(a.faults.closures > 0, "closures must fire");
 }
+
+/// FNV-1a over the fee bits of a run: total fees, volume, and every
+/// node's revenue and fees paid.
+fn fee_digest(report: &SimReport) -> u64 {
+    let words = [report.total_fees, report.volume_delivered]
+        .into_iter()
+        .chain(report.node_revenue.iter().copied())
+        .chain(report.node_fees_paid.iter().copied())
+        .map(f64::to_bits);
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+#[test]
+fn churn_heavy_run_matches_recorded_digest() {
+    // Overlapping churn windows that open and close during the stream,
+    // several per node, plus one explicit window. Retries re-check the
+    // endpoints at later times. The counts and bits were recorded with
+    // the engine that scanned every window on each query.
+    let plan = FaultPlan::none()
+        .churn(0.3, 0.0, 10.0)
+        .churn(0.3, 5.0, 25.0)
+        .churn(0.2, 20.0, 1e9)
+        .node_offline(NodeId(3), 2.0, 30.0)
+        .transient_edge_failure(0.05);
+    let report = run_with(13, plan, RetryPolicy::fixed(3, 0.5));
+    let partition = (
+        report.attempted,
+        report.succeeded,
+        report.failed_no_path,
+        report.failed_capacity,
+        report.failed_invalid,
+        report.failed_faulted,
+    );
+    assert_eq!(partition, (1_500, 489, 132, 0, 0, 879));
+    assert_eq!(report.faults.offline_rejections, 2_649);
+    assert_eq!(report.total_fees.to_bits(), 0x401e_7df3_b645_a1e6);
+    assert_eq!(fee_digest(&report), 0xd5fd_38f4_4190_1dbe);
+}
