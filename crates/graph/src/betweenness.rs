@@ -47,8 +47,8 @@ pub const SOURCE_CHUNK: usize = 8;
 /// chunk; every value is overwritten before it is read.
 #[derive(Default)]
 pub(crate) struct SourceBuffers {
-    pub(crate) tree: BfsTree,
-    pub(crate) delta: Vec<f64>,
+    tree: BfsTree,
+    delta: Vec<f64>,
 }
 
 impl SourceBuffers {

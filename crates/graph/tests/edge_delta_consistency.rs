@@ -1,7 +1,7 @@
 //! Differential suite for the edge-delta incremental betweenness engine:
 //! every query must be bit-identical to the from-scratch chunked Brandes
-//! path on the updated graph, across random hosts, batch shapes,
-//! connectivity changes and forced fallbacks.
+//! path on the updated graph, across random hosts, batch shapes and
+//! connectivity changes.
 
 use lcg_graph::betweenness::weighted_node_betweenness;
 use lcg_graph::edge_delta::{EdgeDelta, EdgeDeltaBetweenness};
@@ -16,12 +16,6 @@ type Topology = DiGraph<(), ()>;
 /// reduction paths.
 fn pair_weight(s: NodeId, r: NodeId) -> f64 {
     1.0 + ((7 * s.index() + 3 * r.index()) % 5) as f64 * 0.25
-}
-
-/// A second weight, bitwise different on most rows, standing in for a
-/// "recomputed Zipf" per-query override.
-fn override_weight(s: NodeId, r: NodeId) -> f64 {
-    0.5 + ((5 * s.index() + 11 * r.index()) % 7) as f64 * 0.125
 }
 
 /// The first `k` node pairs with no channel between them, in id order.
@@ -59,28 +53,14 @@ fn existing_channels(g: &Topology, k: usize) -> Vec<(NodeId, NodeId)> {
 }
 
 /// Asserts that the engine's answer for `delta` on `base` equals the
-/// from-scratch path bit-for-bit (snapshot weight and overridden weight),
-/// and returns the updated graph.
+/// from-scratch path bit-for-bit, and returns the updated graph.
 fn assert_bit_identical(base: &Topology, delta: &EdgeDelta) -> Topology {
     let engine = EdgeDeltaBetweenness::new(base, pair_weight);
     let updated = engine.apply(delta);
     let (scores, _) = engine.node_betweenness_on(&updated, delta);
     let expect = weighted_node_betweenness(&updated, pair_weight);
     for (v, (got, want)) in scores.iter().zip(&expect).enumerate() {
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "node {v} under snapshot weight"
-        );
-    }
-    let (scores, _) = engine.node_betweenness_with(&updated, delta, override_weight);
-    let expect = weighted_node_betweenness(&updated, override_weight);
-    for (v, (got, want)) in scores.iter().zip(&expect).enumerate() {
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "node {v} under override weight"
-        );
+        assert_eq!(got.to_bits(), want.to_bits(), "node {v}");
     }
     updated
 }
@@ -196,26 +176,6 @@ fn apply_then_inverse_restores_scores_on_random_hosts() {
 }
 
 #[test]
-fn forced_fallback_agrees_with_pruned_path() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let host = generators::erdos_renyi(20, 0.25, &mut rng);
-    let delta = EdgeDelta {
-        insert: nonadjacent_pairs(&host, 2),
-        remove: existing_channels(&host, 2),
-    };
-    let pruned = EdgeDeltaBetweenness::new(&host, pair_weight);
-    let fallback = EdgeDeltaBetweenness::new(&host, pair_weight).with_fallback_fraction(0.0);
-    let updated = pruned.apply(&delta);
-    let (fast, fast_stats) = pruned.node_betweenness_on(&updated, &delta);
-    let (slow, slow_stats) = fallback.node_betweenness_on(&updated, &delta);
-    assert!(slow_stats.fell_back);
-    assert!(!fast_stats.fell_back || fast_stats.recomputed_sources == host.node_count());
-    for (v, (a, b)) in fast.iter().zip(&slow).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "node {v}");
-    }
-}
-
-#[test]
 fn per_query_stats_account_for_every_source() {
     let mut rng = StdRng::seed_from_u64(11);
     let host = generators::erdos_renyi(18, 0.2, &mut rng);
@@ -228,13 +188,9 @@ fn per_query_stats_account_for_every_source() {
     let (_, stats) = engine.node_betweenness_on(&updated, &delta);
     if !stats.fell_back {
         assert_eq!(
-            stats.recomputed_sources + stats.reweighted_sources + stats.replayed_sources,
+            stats.recomputed_sources + stats.replayed_sources,
             host.node_count(),
             "tiers must partition the sources"
-        );
-        assert_eq!(
-            stats.reweighted_sources, 0,
-            "snapshot weight never reweights"
         );
     }
 }

@@ -6,7 +6,9 @@
 //! the issue checklist — random ER/BA hosts, all three `RevenueMode`s,
 //! node additions touching 1–5 channels, and the degenerate corners
 //! (disconnected host, strategy below `min_usable_lock`, single-node
-//! host).
+//! host). The pruning gate lives here too: a greedy round's query mix
+//! on a 500-node BA host recomputes at least 3× fewer sources than
+//! from-scratch Brandes.
 
 use lcg_core::strategy::Strategy;
 use lcg_core::utility::{RevenueMode, UtilityOracle, UtilityParams};
@@ -244,4 +246,56 @@ fn pruning_skips_sources_on_ba_hosts() {
     );
     assert_eq!(stats.recomputed_sources + stats.cached_sources, 60);
     check_against_full(&host, &targets, "BA pruning spot-check");
+}
+
+/// The pruning gate on a 500-node BA host, under the query mix of one
+/// greedy round pair: 12 singleton probes `{t}`, 11 extensions
+/// `{t₀, t}` of the first probe, and one triple. From-scratch Brandes
+/// runs one dependency pass per live source plus the new node for each
+/// query; the engine must recompute at least 3× fewer sources, with
+/// every answer bit-identical. (The mix recomputes 2,345 of 12,000 host
+/// sources, against 12,024 from-scratch passes: a factor of 5.13.)
+#[test]
+fn ba_500_query_mix_recomputes_three_times_fewer_sources() {
+    let weight = |s: NodeId, r: NodeId| {
+        1.0 + 0.01 * (s.index() % 13) as f64 + 0.001 * (r.index() % 7) as f64
+    };
+    // The host is the fourth graph drawn from this seed, after ER-200,
+    // ER-500 and BA-200.
+    let mut rng = StdRng::seed_from_u64(0x1234);
+    generators::erdos_renyi(200, 0.05, &mut rng);
+    generators::erdos_renyi(500, 0.02, &mut rng);
+    generators::barabasi_albert(200, 2, &mut rng);
+    let host = generators::barabasi_albert(500, 2, &mut rng);
+    let n = host.node_count();
+    assert_eq!(n, 500);
+
+    let step = n / 13;
+    let probes: Vec<NodeId> = (0..12).map(|i| NodeId((1 + i * step) % n)).collect();
+    let mut queries: Vec<Vec<NodeId>> = probes.iter().map(|&t| vec![t]).collect();
+    queries.extend(probes.iter().skip(1).map(|&t| vec![probes[0], t]));
+    queries.push(vec![probes[0], probes[3], probes[7]]);
+    assert_eq!(queries.len(), 24);
+
+    let engine = IncrementalBetweenness::new(&host, weight);
+    let (mut recomputed, mut cached) = (0, 0);
+    for (q, targets) in queries.iter().enumerate() {
+        let (score, stats) = engine.new_node_score(targets);
+        assert!(!stats.fell_back, "query {q} fell back");
+        recomputed += stats.recomputed_sources;
+        cached += stats.cached_sources;
+        let aug = engine.augment(targets);
+        let expect = weighted_node_betweenness(&aug, |s, r| engine.weight(s, r));
+        assert_eq!(
+            score.to_bits(),
+            expect[engine.new_node().index()].to_bits(),
+            "query {q} diverged from Brandes"
+        );
+    }
+    assert_eq!(recomputed + cached, queries.len() * n);
+    let factor = (queries.len() * (n + 1)) as f64 / recomputed as f64;
+    assert!(
+        factor >= 3.0,
+        "BA-500 must recompute >= 3x fewer sources, got {factor:.2}x ({recomputed} recomputed)"
+    );
 }

@@ -18,8 +18,7 @@
 //!   rendering fails loudly on non-finite floats instead of silently
 //!   emitting invalid JSON.
 //! * [`stats`] — the shared sum/ratio helpers that `EvalCacheStats`,
-//!   `EdgeDeltaStats`/`IncrementalStats` and `NashReport` previously
-//!   re-implemented.
+//!   `IncrementalStats` and `NashReport` previously re-implemented.
 //!
 //! ## The disabled-path guarantee
 //!

@@ -1,10 +1,9 @@
 //! Shared sum/ratio arithmetic for instrumentation counters.
 //!
-//! `EvalCacheStats::hit_rate`, the `EdgeDeltaStats`/`IncrementalStats`
-//! pruning ratios and the `NashReport` counter summaries each used to
-//! re-implement the same "part over total, 0 when empty" logic. These
-//! helpers are the single copy; the workload crates' public methods are
-//! thin delegations.
+//! `EvalCacheStats::hit_rate`, the `IncrementalStats` pruning ratio and
+//! the `NashReport` counter summaries each used to re-implement the same
+//! "part over total, 0 when empty" logic. These helpers are the single
+//! copy; the workload crates' public methods are thin delegations.
 
 /// `num / den` as `f64`, or 0.0 when `den` is zero.
 #[inline]

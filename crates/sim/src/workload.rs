@@ -87,9 +87,12 @@ impl PairWeights {
     }
 
     /// Normalized probability that `s` transacts with `r` given that `s`
-    /// sends a transaction.
+    /// sends a transaction; `0.0` for a sender outside the matrix.
     pub fn probability(&self, s: NodeId, r: NodeId) -> f64 {
-        let total: f64 = self.weights[s.index()]
+        let Some(row) = self.weights.get(s.index()) else {
+            return 0.0;
+        };
+        let total: f64 = row
             .iter()
             .enumerate()
             .filter(|&(j, _)| j != s.index())
@@ -220,7 +223,7 @@ impl WorkloadBuilder {
         while out.len() < count {
             let u: f64 = rng.gen_range(0.0..1.0f64);
             time += -(1.0 - u).ln() / total;
-            let sender = self.sample_sender(rng);
+            let sender = self.sample_sender(total, rng);
             let Some(receiver) = self.pairs.sample_receiver(sender, rng) else {
                 continue; // sender with no counterparties: skip the slot
             };
@@ -234,8 +237,9 @@ impl WorkloadBuilder {
         out
     }
 
-    fn sample_sender<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
-        let total = self.total_rate();
+    /// Draws a sender proportionally to `N_u`; `total` is
+    /// [`WorkloadBuilder::total_rate`].
+    fn sample_sender<R: Rng + ?Sized>(&self, total: f64, rng: &mut R) -> NodeId {
         let mut pick = rng.gen_range(0.0..total);
         for (i, &r) in self.sender_rates.iter().enumerate() {
             if r == 0.0 {
@@ -281,6 +285,16 @@ mod tests {
         assert!((pw.probability(NodeId(0), NodeId(1)) - 0.75).abs() < 1e-12);
         assert!((pw.probability(NodeId(0), NodeId(2)) - 0.25).abs() < 1e-12);
         assert_eq!(pw.probability(NodeId(2), NodeId(0)), 0.0);
+    }
+
+    #[test]
+    fn sender_outside_the_matrix_has_zero_probability() {
+        let pw = PairWeights::uniform(3);
+        let outside = NodeId(3);
+        let mut rng = StdRng::seed_from_u64(5);
+        assert_eq!(pw.probability(outside, NodeId(0)), 0.0);
+        assert_eq!(pw.weight(outside, NodeId(0)), 0.0);
+        assert_eq!(pw.sample_receiver(outside, &mut rng), None);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! 2. retries recover transient edge failures;
 //! 3. stuck-HTLC timeouts restore balances through `Htlc::fail`
 //!    (no coins created or destroyed, no reservation leaks);
-//! 4. an empty `FaultPlan` is bit-identical to the fault-free engine.
+//! 4. an empty `FaultPlan` is bit-identical to the fault-free engine;
+//! 5. on a BA-500 snapshot, exponential retries recover at least half
+//!    of the transiently faulted payments at every faulted point of a
+//!    `p ∈ {0, 0.02, 0.05, 0.1}` sweep, and every leg gives its
+//!    recorded counts.
 
 use lcg_graph::NodeId;
 use lcg_sim::engine::{SimReport, Simulation};
@@ -18,10 +22,11 @@ use lcg_sim::workload::{PairWeights, Tx, WorkloadBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A small Lightning-like snapshot plus a workload over its nodes.
-fn snapshot_scenario(seed: u64, n_txs: usize) -> (Pcn, Vec<Tx>) {
+/// A Lightning-like snapshot of `nodes` nodes plus a workload of uniform
+/// 0.5-coin payments over them.
+fn snapshot_scenario(nodes: usize, seed: u64, n_txs: usize) -> (Pcn, Vec<Tx>) {
     let config = SnapshotConfig {
-        nodes: 40,
+        nodes,
         ..SnapshotConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(seed);
@@ -41,7 +46,7 @@ fn chaos_plan() -> FaultPlan {
 }
 
 fn run_with(seed: u64, plan: FaultPlan, retry: RetryPolicy) -> SimReport {
-    let (mut pcn, txs) = snapshot_scenario(97, 1_500);
+    let (mut pcn, txs) = snapshot_scenario(40, 97, 1_500);
     Simulation::new(&mut pcn)
         .workload(&txs)
         .seed(seed)
@@ -78,7 +83,7 @@ fn different_seeds_diverge() {
 #[test]
 fn empty_plan_is_bit_identical_to_fault_free_engine() {
     let plain = {
-        let (mut pcn, txs) = snapshot_scenario(97, 1_500);
+        let (mut pcn, txs) = snapshot_scenario(40, 97, 1_500);
         Simulation::new(&mut pcn).workload(&txs).seed(5).run()
     };
     let with_empty_plan = run_with(5, FaultPlan::none(), RetryPolicy::none());
@@ -114,7 +119,7 @@ fn retries_recover_transient_edge_failures() {
 fn timeouts_restore_balances_exactly() {
     // Every payment gets stuck and times out; every lock must be released
     // through Htlc::fail, restoring each edge balance exactly.
-    let (mut pcn, txs) = snapshot_scenario(97, 300);
+    let (mut pcn, txs) = snapshot_scenario(40, 97, 300);
     let before: Vec<f64> = pcn
         .graph()
         .edge_ids()
@@ -234,4 +239,101 @@ fn churn_heavy_run_matches_recorded_digest() {
     assert_eq!(report.faults.offline_rejections, 2_649);
     assert_eq!(report.total_fees.to_bits(), 0x401e_7df3_b645_a1e6);
     assert_eq!(fee_digest(&report), 0xd5fd_38f4_4190_1dbe);
+}
+
+/// Outcome counts of one sweep leg: succeeded, failed for no path, for
+/// capacity and by a fault; injected transient faults, payments that
+/// saw a fault, retry attempts and payments recovered by a retry.
+type LegCounts = (u64, u64, u64, u64, u64, u64, u64, u64);
+
+fn leg_counts(r: &SimReport) -> LegCounts {
+    (
+        r.succeeded,
+        r.failed_no_path,
+        r.failed_capacity,
+        r.failed_faulted,
+        r.faults.injected_transient,
+        r.faults.txs_faulted,
+        r.faults.retry_attempts,
+        r.faults.recovered_by_retry,
+    )
+}
+
+/// One point of the transient-fault sweep on a BA-500 snapshot: 20,000
+/// payments with hop failures at probability `p`, once without retries
+/// and once with `exponential(4, 0.01, 2.0, 0.1)`. Each leg replays
+/// bit-identically and gives its recorded counts. At `p = 0` nothing is
+/// injected and no payment is faulted; at `p > 0` the retries recover
+/// at least half of the faulted payments.
+fn ba500_sweep_point(p: f64, no_retry: LegCounts, exp4: LegCounts) {
+    let (pcn, txs) = snapshot_scenario(500, 0xBA500, 20_000);
+    let run = |retry: RetryPolicy| {
+        let plan = if p > 0.0 {
+            FaultPlan::none().transient_edge_failure(p)
+        } else {
+            FaultPlan::none()
+        };
+        let mut pcn = pcn.clone();
+        Simulation::new(&mut pcn)
+            .workload(&txs)
+            .seed(1404)
+            .faults(plan)
+            .retry(retry)
+            .run()
+    };
+    for (label, retry, expect) in [
+        ("none", RetryPolicy::none(), no_retry),
+        ("exp4", RetryPolicy::exponential(4, 0.01, 2.0, 0.1), exp4),
+    ] {
+        let report = run(retry);
+        assert_eq!(report, run(retry), "p = {p}, {label}: replay diverged");
+        assert_eq!(report.attempted, 20_000);
+        assert_eq!(leg_counts(&report), expect, "p = {p}, {label}");
+        if p == 0.0 {
+            assert_eq!(report.failed_faulted, 0, "{label}: fault-free leg");
+            assert_eq!(report.faults.injected_total(), 0, "{label}: fault-free leg");
+        } else if label == "exp4" {
+            assert!(
+                report.faults.recovery_rate() >= 0.5,
+                "exp4 at p = {p} must recover >= 50% of faulted payments, got {:.1}%",
+                report.faults.recovery_rate() * 100.0
+            );
+        }
+    }
+}
+
+#[test]
+fn ba500_sweep_fault_free() {
+    ba500_sweep_point(
+        0.0,
+        (19_823, 50, 127, 0, 0, 0, 0, 0),
+        (19_926, 74, 0, 0, 0, 0, 327, 0),
+    );
+}
+
+#[test]
+fn ba500_sweep_p02_retries_recover_half() {
+    ba500_sweep_point(
+        0.02,
+        (18_405, 64, 124, 1_407, 1_407, 1_407, 0, 0),
+        (19_926, 72, 0, 2, 1_549, 1_431, 1_856, 1_429),
+    );
+}
+
+#[test]
+fn ba500_sweep_p05_retries_recover_half() {
+    ba500_sweep_point(
+        0.05,
+        (16_471, 71, 118, 3_340, 3_340, 3_340, 0, 0),
+        (19_900, 72, 0, 28, 4_155, 3_395, 4_480, 3_367),
+    );
+}
+
+#[test]
+fn ba500_sweep_p10_retries_recover_half() {
+    ba500_sweep_point(
+        0.1,
+        (13_697, 27, 80, 6_196, 6_196, 6_196, 0, 0),
+        (19_691, 69, 0, 240, 9_324, 6_326, 9_397, 6_086),
+    );
 }
