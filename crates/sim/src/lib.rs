@@ -16,7 +16,9 @@
 //!   sampling and atomic (HTLC-style) multi-hop payment execution.
 //! * [`workload`] — Poisson transaction streams with pluggable
 //!   sender/receiver pair distributions (uniform of \[19\], or the paper's
-//!   Zipf model supplied by `lcg-core`).
+//!   Zipf model supplied by `lcg-core`). The uniform model stores no
+//!   matrix; its receivers, and senders at unit rates, are drawn in O(1),
+//!   bit-identical to a scan of the dense row.
 //! * [`htlc`] — the explicit lock/settle/fail HTLC state machine with
 //!   reservations (footnote 1 of the paper, made executable).
 //! * [`rebalance`] — off-chain cycle rebalancing (the paper's \[30\]).

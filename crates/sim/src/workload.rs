@@ -25,14 +25,31 @@ pub struct Tx {
     pub size: f64,
 }
 
-/// A per-sender receiver distribution: `weights[s][r]` is proportional to
-/// the probability that `s` transacts with `r` (diagonal entries ignored).
+/// A per-sender receiver distribution: the weight of `(s, r)` is
+/// proportional to the probability that `s` transacts with `r` (diagonal
+/// entries ignored).
 ///
-/// Rows need not be normalized; the sampler normalizes on the fly. This is
-/// the bridge between `lcg-core`'s analytic `p_trans` and the simulator.
+/// Two representations hold it. [`PairWeights::uniform`] stores only the
+/// user count and draws a receiver in O(1). [`PairWeights::new`] keeps the
+/// dense rows together with each row's total, summed once at construction,
+/// and draws by a subtracting scan of the sender's row. Rows need not be
+/// normalized. Equality compares representations: a uniform model never
+/// equals a dense one. This is the bridge between `lcg-core`'s analytic
+/// `p_trans` and the simulator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PairWeights {
-    weights: Vec<Vec<f64>>,
+    repr: Repr,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Repr {
+    /// Weight 1 on every ordered pair of distinct users among `n`.
+    Uniform { n: usize },
+    /// `rows[s][r]`, and `totals[s]`, row `s` summed off the diagonal.
+    Dense {
+        rows: Vec<Vec<f64>>,
+        totals: Vec<f64>,
+    },
 }
 
 impl PairWeights {
@@ -40,38 +57,60 @@ impl PairWeights {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not square, or any weight is negative/NaN.
+    /// Panics if the matrix is not square, any weight is negative, NaN or
+    /// infinite, or a row's off-diagonal total overflows to infinity.
     pub fn new(weights: Vec<Vec<f64>>) -> Self {
         let n = weights.len();
-        for (i, row) in weights.iter().enumerate() {
-            assert_eq!(row.len(), n, "row {i} has length {} != {n}", row.len());
-            for (j, &w) in row.iter().enumerate() {
-                assert!(
-                    w >= 0.0 && !w.is_nan(),
-                    "weight[{i}][{j}] must be non-negative, got {w}"
-                );
-            }
+        let totals = weights
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                assert_eq!(row.len(), n, "row {i} has length {} != {n}", row.len());
+                for (j, &w) in row.iter().enumerate() {
+                    assert!(
+                        w.is_finite() && w >= 0.0,
+                        "weight[{i}][{j}] must be finite and non-negative, got {w}"
+                    );
+                }
+                let total: f64 = row
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &w)| w)
+                    .sum();
+                assert!(total.is_finite(), "row {i} sums to {total}");
+                total
+            })
+            .collect();
+        PairWeights {
+            repr: Repr::Dense {
+                rows: weights,
+                totals,
+            },
         }
-        PairWeights { weights }
     }
 
     /// Uniform receiver choice over the other `n-1` nodes — the transaction
-    /// model of \[19\], kept as an ablation baseline.
+    /// model of \[19\], kept as an ablation baseline. Stores only `n`: no
+    /// matrix is built, and a receiver is drawn in O(1) with the same pick
+    /// and RNG draw as a scan of a dense row of ones.
     pub fn uniform(n: usize) -> Self {
-        let weights = (0..n)
-            .map(|i| (0..n).map(|j| if i == j { 0.0 } else { 1.0 }).collect())
-            .collect();
-        PairWeights { weights }
+        PairWeights {
+            repr: Repr::Uniform { n },
+        }
     }
 
     /// Number of users covered.
     pub fn len(&self) -> usize {
-        self.weights.len()
+        match &self.repr {
+            Repr::Uniform { n } => *n,
+            Repr::Dense { rows, .. } => rows.len(),
+        }
     }
 
-    /// Returns `true` if the matrix is empty.
+    /// Returns `true` if no user is covered.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.len() == 0
     }
 
     /// Weight of the ordered pair `(s, r)`.
@@ -79,25 +118,27 @@ impl PairWeights {
         if s == r {
             return 0.0;
         }
-        self.weights
-            .get(s.index())
-            .and_then(|row| row.get(r.index()))
-            .copied()
-            .unwrap_or(0.0)
+        match &self.repr {
+            Repr::Uniform { n } => {
+                if s.index() < *n && r.index() < *n {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            Repr::Dense { rows, .. } => rows
+                .get(s.index())
+                .and_then(|row| row.get(r.index()))
+                .copied()
+                .unwrap_or(0.0),
+        }
     }
 
     /// Normalized probability that `s` transacts with `r` given that `s`
-    /// sends a transaction; `0.0` for a sender outside the matrix.
+    /// sends a transaction: the weight over the row's total, cached at
+    /// construction; `0.0` for a sender outside the matrix.
     pub fn probability(&self, s: NodeId, r: NodeId) -> f64 {
-        let Some(row) = self.weights.get(s.index()) else {
-            return 0.0;
-        };
-        let total: f64 = row
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != s.index())
-            .map(|(_, &w)| w)
-            .sum();
+        let total = self.row_total(s);
         if total <= 0.0 {
             0.0
         } else {
@@ -107,19 +148,18 @@ impl PairWeights {
 
     /// Samples a receiver for sender `s`.
     ///
-    /// Returns `None` if all of `s`'s weights are zero.
+    /// Returns `None`, without drawing, if all of `s`'s weights are zero
+    /// or `s` is outside the matrix.
     pub fn sample_receiver<R: Rng + ?Sized>(&self, s: NodeId, rng: &mut R) -> Option<NodeId> {
-        let row = self.weights.get(s.index())?;
-        let total: f64 = row
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != s.index())
-            .map(|(_, &w)| w)
-            .sum();
+        let total = self.row_total(s);
         if total <= 0.0 {
             return None;
         }
         let mut pick = rng.gen_range(0.0..total);
+        let row = match &self.repr {
+            Repr::Uniform { .. } => return Some(NodeId(unit_scan_index(pick, s.index()))),
+            Repr::Dense { rows, .. } => &rows[s.index()],
+        };
         for (j, &w) in row.iter().enumerate() {
             if j == s.index() || w == 0.0 {
                 continue;
@@ -136,6 +176,27 @@ impl PairWeights {
             .map(|(j, _)| NodeId(j))
             .next_back()
     }
+
+    /// Off-diagonal total of `s`'s row; `0.0` for a sender outside.
+    fn row_total(&self, s: NodeId) -> f64 {
+        match &self.repr {
+            Repr::Uniform { n } if s.index() < *n => (n - 1) as f64,
+            Repr::Uniform { .. } => 0.0,
+            Repr::Dense { totals, .. } => totals.get(s.index()).copied().unwrap_or(0.0),
+        }
+    }
+}
+
+/// The entry a subtracting scan over unit weights stops at for `pick`,
+/// with entry `skip` left out of the scan: the `⌊pick⌋`-th entry other
+/// than `skip`.
+///
+/// Exact for `0 ≤ pick < 2^53`: for `1 ≤ x < 2^53`, `x - 1.0` is exact, so
+/// after `k` steps the scan holds exactly `pick - k`, and it stops at the
+/// first `k` with `pick - k < 1`, that is `k = ⌊pick⌋`.
+fn unit_scan_index(pick: f64, skip: usize) -> usize {
+    let k = pick as usize;
+    k + usize::from(k >= skip)
 }
 
 /// Poisson transaction stream over a fixed user population.
@@ -178,8 +239,8 @@ impl WorkloadBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the length differs from the user count or any rate is
-    /// negative/NaN.
+    /// Panics if the length differs from the user count, any rate is
+    /// negative, NaN or infinite, or the rates sum to infinity.
     pub fn sender_rates(mut self, rates: Vec<f64>) -> Self {
         assert_eq!(
             rates.len(),
@@ -189,9 +250,14 @@ impl WorkloadBuilder {
             self.pairs.len()
         );
         for (i, &r) in rates.iter().enumerate() {
-            assert!(r >= 0.0 && !r.is_nan(), "rate[{i}] must be >= 0, got {r}");
+            assert!(
+                r.is_finite() && r >= 0.0,
+                "rate[{i}] must be finite and >= 0, got {r}"
+            );
         }
         self.sender_rates = rates;
+        let total = self.total_rate();
+        assert!(total.is_finite(), "sender rates sum to {total}");
         self
     }
 
@@ -210,20 +276,40 @@ impl WorkloadBuilder {
     ///
     /// Senders are drawn proportionally to `N_u` and arrival gaps are
     /// `Exp(N)`, which realizes the superposition of the per-user Poisson
-    /// processes.
+    /// processes. A slot whose sender has no receiver of positive weight
+    /// is skipped. With unit rates (every `N_u` exactly 1.0, the default),
+    /// a sender is drawn in O(1), and with [`PairWeights::uniform`] so is a
+    /// receiver; either pick equals the subtracting scan's, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if every sender rate is zero (no transactions can occur).
+    /// Panics if every sender rate is zero (no transactions can occur), or
+    /// if `count > 0` and no sender with a positive rate has a receiver of
+    /// positive weight (every slot would be skipped).
     pub fn generate<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<Tx> {
         let total = self.total_rate();
         assert!(total > 0.0, "all sender rates are zero");
+        assert!(
+            count == 0
+                || self
+                    .sender_rates
+                    .iter()
+                    .enumerate()
+                    .any(|(s, &r)| r > 0.0 && self.pairs.row_total(NodeId(s)) > 0.0),
+            "no sender with a positive rate has a receiver of positive weight"
+        );
+        let unit_rates = self.sender_rates.iter().all(|&r| r == 1.0);
         let mut out = Vec::with_capacity(count);
         let mut time = 0.0f64;
         while out.len() < count {
             let u: f64 = rng.gen_range(0.0..1.0f64);
             time += -(1.0 - u).ln() / total;
-            let sender = self.sample_sender(total, rng);
+            let pick = rng.gen_range(0.0..total);
+            let sender = if unit_rates {
+                NodeId(unit_scan_index(pick, usize::MAX)) // no entry to skip
+            } else {
+                self.sample_sender(pick)
+            };
             let Some(receiver) = self.pairs.sample_receiver(sender, rng) else {
                 continue; // sender with no counterparties: skip the slot
             };
@@ -237,10 +323,9 @@ impl WorkloadBuilder {
         out
     }
 
-    /// Draws a sender proportionally to `N_u`; `total` is
-    /// [`WorkloadBuilder::total_rate`].
-    fn sample_sender<R: Rng + ?Sized>(&self, total: f64, rng: &mut R) -> NodeId {
-        let mut pick = rng.gen_range(0.0..total);
+    /// The sender proportional to `N_u` for `pick`, drawn from
+    /// `0.0..`[`WorkloadBuilder::total_rate`].
+    fn sample_sender(&self, mut pick: f64) -> NodeId {
         for (i, &r) in self.sender_rates.iter().enumerate() {
             if r == 0.0 {
                 continue;
@@ -289,12 +374,17 @@ mod tests {
 
     #[test]
     fn sender_outside_the_matrix_has_zero_probability() {
-        let pw = PairWeights::uniform(3);
-        let outside = NodeId(3);
         let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(pw.probability(outside, NodeId(0)), 0.0);
-        assert_eq!(pw.weight(outside, NodeId(0)), 0.0);
-        assert_eq!(pw.sample_receiver(outside, &mut rng), None);
+        for pw in [
+            PairWeights::uniform(3),
+            PairWeights::new(vec![vec![1.0; 3]; 3]),
+        ] {
+            let outside = NodeId(3);
+            assert_eq!(pw.probability(outside, NodeId(0)), 0.0);
+            assert_eq!(pw.weight(outside, NodeId(0)), 0.0);
+            assert_eq!(pw.weight(NodeId(0), outside), 0.0);
+            assert_eq!(pw.sample_receiver(outside, &mut rng), None);
+        }
     }
 
     #[test]
@@ -328,6 +418,94 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_weight_panics() {
         PairWeights::new(vec![vec![0.0, -1.0], vec![1.0, 0.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight[0][2] must be finite")]
+    fn infinite_weight_panics() {
+        let ones = vec![1.0, 1.0, 1.0];
+        PairWeights::new(vec![vec![0.0, 1.0, f64::INFINITY], ones.clone(), ones]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 sums to inf")]
+    fn overflowing_row_total_panics() {
+        let ones = vec![1.0, 1.0, 1.0];
+        PairWeights::new(vec![vec![0.0, 1e308, 1e308], ones.clone(), ones]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate[1] must be finite")]
+    fn infinite_rate_panics() {
+        WorkloadBuilder::new(PairWeights::uniform(3)).sender_rates(vec![1.0, f64::INFINITY, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sender rates sum to inf")]
+    fn overflowing_rate_total_panics() {
+        WorkloadBuilder::new(PairWeights::uniform(2)).sender_rates(vec![1e308, 1e308]);
+    }
+
+    /// The subtracting scan over a row of unit weights with entry `skip`
+    /// left out, as the dense sampler runs it.
+    fn unit_scan(len: usize, skip: usize, mut pick: f64) -> usize {
+        for j in 0..len {
+            if j == skip {
+                continue;
+            }
+            if pick < 1.0 {
+                return j;
+            }
+            pick -= 1.0;
+        }
+        unreachable!("pick {pick} left over past the last entry of {len}")
+    }
+
+    /// Each `k` of `ks` with its two neighbouring floats, where the scan's
+    /// answer can change, and the largest pick below `total`; only picks
+    /// in `0..total` are kept.
+    fn boundary_picks(ks: impl IntoIterator<Item = usize>, total: f64) -> Vec<f64> {
+        let mut picks = vec![total.next_down()];
+        for k in ks {
+            let k = k as f64;
+            picks.extend([k.next_down(), k, k.next_up()]);
+        }
+        picks.retain(|&p| (0.0..total).contains(&p));
+        picks
+    }
+
+    #[test]
+    fn unit_scan_index_equals_the_scan_at_every_boundary() {
+        // Small rows: every skip (`skip == len` is the unskipped sender
+        // scan) and every boundary of every entry.
+        for len in 1..=48 {
+            for skip in 0..=len {
+                let total = (len - usize::from(skip < len)) as f64;
+                for pick in boundary_picks(0..len, total) {
+                    assert_eq!(unit_scan_index(pick, skip), unit_scan(len, skip, pick));
+                }
+            }
+        }
+        // Rows up to the benchmark's 2,000 users: every skip, with the
+        // boundaries where the skip shift turns on, at the ends and at the
+        // top of the range.
+        for len in [1_000, 2_000] {
+            for skip in 0..=len {
+                let total = (len - usize::from(skip < len)) as f64;
+                let ks = [0, 1, skip.saturating_sub(1), skip, skip + 1, len - 2];
+                for pick in boundary_picks(ks, total) {
+                    assert_eq!(unit_scan_index(pick, skip), unit_scan(len, skip, pick));
+                }
+            }
+            // Every boundary of every entry, for a skip at each end and in
+            // the middle.
+            for skip in [0, len / 2, len] {
+                let total = (len - usize::from(skip < len)) as f64;
+                for pick in boundary_picks(0..len, total) {
+                    assert_eq!(unit_scan_index(pick, skip), unit_scan(len, skip, pick));
+                }
+            }
+        }
     }
 
     #[test]
@@ -380,5 +558,28 @@ mod tests {
         WorkloadBuilder::new(PairWeights::uniform(2))
             .sender_rates(vec![0.0, 0.0])
             .generate(1, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "no sender with a positive rate has a receiver")]
+    fn a_lone_user_has_no_receiver() {
+        let mut rng = StdRng::seed_from_u64(1);
+        WorkloadBuilder::new(PairWeights::uniform(1)).generate(1, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "no sender with a positive rate has a receiver")]
+    fn the_only_sender_has_no_receiver() {
+        let mut rng = StdRng::seed_from_u64(1);
+        WorkloadBuilder::new(PairWeights::new(vec![vec![0.0, 0.0], vec![1.0, 0.0]]))
+            .sender_rates(vec![1.0, 0.0])
+            .generate(1, &mut rng);
+    }
+
+    #[test]
+    fn no_payments_need_no_receiver() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let txs = WorkloadBuilder::new(PairWeights::uniform(1)).generate(0, &mut rng);
+        assert!(txs.is_empty());
     }
 }
